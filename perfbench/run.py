@@ -2,8 +2,8 @@
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload sb-warm --seed 1 --seconds 25 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 25 --trace 1
+    python3 perfbench/run.py --workload sb-warm --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 15 --trace 1
 
 ``--trace 0`` reports the end-to-end metrics, ``--trace 1`` the
 per-layer metrics of a traced run (see perfbench/README.md).  Every
@@ -36,9 +36,7 @@ OUT_DIR = ROOT / ".perfbench-out"
 #: per-graph set-ups per run, and the least time they take together;
 #: setup_s is their median
 SETUP_REPEATS = 3
-SETUP_SECONDS = 1.0
-#: fewest measured repetitions per run, whatever --seconds says
-MIN_REPEATS = 3
+SETUP_SECONDS = 2.0
 #: requests per timing window (see _denoised)
 WINDOW = 100
 
@@ -84,24 +82,25 @@ def _windows(times: list[float]) -> list[float]:
 
 
 def _denoised(reps) -> tuple[list[float], list[float]]:
-    """Crawl seconds and request gaps with the machine's noise filtered out.
+    """Crawl seconds and request gaps, each the median over repetitions.
 
     Every repetition of a crawl does the same work (the witness check
     proves it), so the k-th window, or the k-th gap, of one crawl is the
-    same work in every repetition.  Other tenants of a shared machine
-    only ever add time, so the fastest repetition of each window and of
-    each gap is kept: the program's own stalls recur in every
-    repetition and stay, slowdowns that spare one repetition go.
+    same work in every repetition.  The times are already in reference
+    seconds (see hostclock.py); the median of each window and of each
+    gap over the repetitions drops what the probes did not catch, such
+    as an interrupt in one repetition.  The program's own stalls recur
+    in every repetition and stay.
     """
     seconds, gaps = [], []
     for index in range(len(reps[0])):
         runs = [outcomes[index] for outcomes in reps]
-        seconds.append(sum(map(min, zip(*(_windows(o.times) for o in runs)))))
-        gaps.extend(map(min, zip(*(o.gaps_ms for o in runs))))
+        seconds.append(sum(map(statistics.median, zip(*(_windows(o.times) for o in runs)))))
+        gaps.extend(map(statistics.median, zip(*(o.gaps_ms for o in runs))))
     return seconds, sorted(gaps)
 
 
-def _end_to_end(reps, setup_times) -> tuple[dict[str, float], dict[str, object]]:
+def _end_to_end(reps, setup_times, clock) -> tuple[dict[str, float], dict[str, object]]:
     first = reps[0]
     seconds, gaps = _denoised(reps)
     attempted = sum(o.n_requests for outcomes in reps for o in outcomes)
@@ -125,11 +124,13 @@ def _end_to_end(reps, setup_times) -> tuple[dict[str, float], dict[str, object]]
             f"{_pages_per_s(o):.1f}" for o in reps),
         "fail_share": lost / attempted,
         "set-ups": len(setup_times),
+        "host speed (share of the reference host, median of "
+        f"{len(clock.probe_s)} probes)": f"{clock.speed():.3f}",
     }
     return metrics, notes
 
 
-def _setup(args, work_dir: Path):
+def _setup(args, work_dir: Path, clock):
     """Set the workload up, again and again until there are SETUP_REPEATS
     per-graph set-up times taking SETUP_SECONDS together (once when
     tracing), and keep the last set-up."""
@@ -140,7 +141,7 @@ def _setup(args, work_dir: Path):
             len(times) < SETUP_REPEATS or sum(times) < SETUP_SECONDS)):
         del workload
         gc.collect()
-        workload = make_workload(args.workload, args.seed, work_dir)
+        workload = make_workload(args.workload, args.seed, work_dir, clock)
         times += workload.setup()
     return workload, times
 
@@ -150,7 +151,7 @@ def _traced(workload, args) -> tuple[dict[str, float], dict[str, object], list]:
     per-layer figures are medians over the traced ones."""
     import tracing
 
-    tracer = tracing.Tracer()
+    tracer = tracing.Tracer(clock=workload.clock.raw)
     plain, traced, per_rep = [], [], []
     deadline = time.perf_counter() + args.seconds
     while not traced or time.perf_counter() < deadline:
@@ -175,8 +176,11 @@ def _traced(workload, args) -> tuple[dict[str, float], dict[str, object], list]:
 
 def _run(args, work_dir: Path) -> tuple[dict, list[str], dict, int]:
     import tracing
+    from hostclock import HostClock
+    from workloads import WORKLOADS
 
-    workload, setup_times = _setup(args, work_dir)
+    clock = HostClock()
+    workload, setup_times = _setup(args, work_dir, clock)
     # one crawl to warm the process up; checked, not timed
     warmup = [[workload.crawl(0, contextlib.nullcontext)]]
     if args.trace:
@@ -186,10 +190,11 @@ def _run(args, work_dir: Path) -> tuple[dict, list[str], dict, int]:
     else:
         reps = []
         deadline = time.perf_counter() + args.seconds
-        while len(reps) < MIN_REPEATS or time.perf_counter() < deadline:
+        while (len(reps) < WORKLOADS[args.workload].min_repeats
+               or time.perf_counter() < deadline):
             gc.collect()
             reps.append(workload.run_once(contextlib.nullcontext))
-        metrics, notes = _end_to_end(reps, setup_times)
+        metrics, notes = _end_to_end(reps, setup_times, clock)
         units = dict(END_TO_END)
     all_reps = warmup + reps
     failures = _check(all_reps)
@@ -226,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True,
                         help="sb-warm, bfs-cold, sb-durable, or all")
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0,
-                        help="measured time per run (default 25)")
+    parser.add_argument("--seconds", type=float, default=15.0,
+                        help="measured time per run (default 15)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

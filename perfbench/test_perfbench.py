@@ -7,9 +7,11 @@ import json
 import shutil
 import subprocess
 import sys
+from array import array
 
 import pytest
 
+import hostclock
 import run
 import tracing
 import workloads
@@ -139,6 +141,19 @@ def test_tracer_restores_entry_points_and_splits_self_time():
     assert list(tracer.parent) == [-1, 0, 0, 0]
     assert self_s[0] == pytest.approx(duration[0] - duration[1:].sum())
     assert self_s.sum() == pytest.approx(duration[0])
+
+
+def test_host_clock_counts_slow_stretches_at_reference_speed():
+    clock = hostclock.HostClock()
+    ref = hostclock.REFERENCE_PROBE_S
+    clock.probed_at = array("d", [0.0, 1.0, 2.0, 3.0])
+    clock.probe_s = array("d", [ref, ref, 2 * ref, 2 * ref])
+    # a stretch between probes at half speed counts half, the one
+    # between a full- and a half-speed probe three quarters
+    assert clock.scaled([0.0, 1.0, 2.0, 3.0]) == pytest.approx([0.0, 1.0, 1.75, 2.25])
+    # one probe slowed by an interrupt does not count
+    clock.probe_s = array("d", [ref, ref, 9 * ref, ref])
+    assert clock.scaled([3.0]) == pytest.approx([3.0])
 
 
 def test_run_without_sources_fails_without_result(tmp_path):

@@ -134,9 +134,10 @@ def _resolve(entry: str):
 
 
 class Tracer:
-    """Collects spans and counts while installed."""
+    """Collects spans and counts while installed, timed by ``clock``."""
 
-    def __init__(self) -> None:
+    def __init__(self, clock=time.perf_counter) -> None:
+        self.clock = clock
         self.span_names: list[str] = []
         self._name_ids: dict[str, int] = {}
         self.parent = array("q")
@@ -171,7 +172,7 @@ class Tracer:
         name_id = self._name_ids[span_name]
         stack, parents, names = self._stack, self.parent, self.name
         starts, ends = self.start, self.end
-        clock = time.perf_counter
+        clock = self.clock
 
         def traced(*args, **kwargs):
             span_id = len(starts)
@@ -278,7 +279,7 @@ class Tracer:
         calls = np.bincount(names, minlength=n_names)
         self_by_name = np.bincount(names, weights=self_s, minlength=n_names)
         requests = sum(o.n_requests for o in outcomes)
-        wall_ms = sum(o.seconds for o in outcomes) * 1e3
+        wall_ms = sum(o.wall_s for o in outcomes) * 1e3
         metrics: dict[str, float] = {}
         sides = {"simulator": 0.0, "crawler": 0.0}
         by_layer: dict[str, list[float]] = {layer.name: [0, 0.0] for layer in LAYERS}

@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +33,8 @@ from repro.webgraph.generator import generate_site
 from repro.webgraph.model import PageKind, WebsiteGraph
 from repro.webgraph.sites import PAPER_SITES
 
+from hostclock import HostClock
+
 #: request budget of the sb-durable crawl; the other workloads crawl
 #: their sites to the end (see README.md for why)
 BUDGET = 2500
@@ -49,6 +50,8 @@ class Spec:
     #: a repetition crawls one graph of each site, in turn
     sites: tuple[str, ...]
     why: str
+    #: fewest measured repetitions per run, whatever --seconds says
+    min_repeats: int = 3
 
 
 WORKLOADS: dict[str, Spec] = {
@@ -63,9 +66,10 @@ WORKLOADS: dict[str, Spec] = {
         "environments, with no classifier, HNSW or bandit",
     ),
     "sb-durable": Spec(
-        "SB-CLASSIFIER", ("be",),
+        "SB-CLASSIFIER", ("be", "be"),
         "writes beside reads: checkpoints every 25 steps, a JSONL trace and "
         "the retry, requeue and dead-letter path under 10% injected faults",
+        min_repeats=2,
     ),
 }
 
@@ -115,28 +119,31 @@ class RequestLog:
 
     Everything else is forwarded to the wrapped server.  It must be
     installed before the crawler creates its client, because
-    ``CrawlEnvironment.new_client`` reads ``env.server``.
+    ``CrawlEnvironment.new_client`` reads ``env.server``.  Timestamps
+    are probe-free ``HostClock`` seconds.
     """
 
-    def __init__(self, inner) -> None:
+    def __init__(self, inner, clock: HostClock) -> None:
         self.inner = inner
+        self.clock = clock
         self.arrivals: list[float] = []
 
     def get(self, url, *args, **kwargs):
-        self.arrivals.append(time.perf_counter())
+        self.arrivals.append(self.clock.now())
         return self.inner.get(url, *args, **kwargs)
 
     def head(self, url, *args, **kwargs):
-        self.arrivals.append(time.perf_counter())
+        self.arrivals.append(self.clock.now())
         return self.inner.head(url, *args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
 
-def logged_env(graph: WebsiteGraph, **kwargs) -> tuple[CrawlEnvironment, RequestLog]:
+def logged_env(graph: WebsiteGraph, clock: HostClock,
+               **kwargs) -> tuple[CrawlEnvironment, RequestLog]:
     env = CrawlEnvironment(graph, **kwargs)
-    log = RequestLog(env.server)
+    log = RequestLog(env.server, clock)
     env.server = log
     return env, log
 
@@ -165,8 +172,11 @@ class CrawlOutcome:
     abandoned: int
     retries: int
     wait_s: float
-    #: crawl start, every request's arrival at the server, crawl end
+    #: crawl start, every request's arrival at the server, crawl end,
+    #: in reference seconds (see hostclock.py)
     times: list[float]
+    #: probe-free wall seconds of the crawl, as the tracer's spans see them
+    wall_s: float
     witness: str
     failures: list[str] = field(default_factory=list)
 
@@ -208,16 +218,19 @@ def _check_crawl(env, log, result, started, ended, budget=None, slack=0,
         site=result.site, n_requests=n_requests,
         n_targets=len(result.targets), abandoned=abandoned,
         retries=ledger.n_retries, wait_s=ledger.wait_seconds,
-        times=[started, *log.arrivals, ended],
-        witness=witness, failures=failures,
+        times=log.clock.scaled([started, *log.arrivals, ended]).tolist(),
+        wall_s=ended - started, witness=witness, failures=failures,
     )
 
 
 def _timed_crawl(crawler, env, log, budget=None, **kwargs):
     log.arrivals.clear()
-    started = time.perf_counter()
+    log.clock.probe()
+    started = log.clock.now()
     result = crawler.crawl(env, budget=budget, **kwargs)
-    return result, started, time.perf_counter()
+    ended = log.clock.now()
+    log.clock.probe()
+    return result, started, ended
 
 
 class Workload:
@@ -225,25 +238,31 @@ class Workload:
 
     ``setup`` builds one site graph per entry of the workload's sites
     and returns how long each took, with whatever that graph's
-    environment needs before crawling.  A repetition runs ``crawl(i)``
-    on every graph in turn; ``crawl_hook`` is a context-manager factory
-    entered around each ``crawl`` call (the traced run installs its
-    spans there).
+    environment needs before crawling, in reference seconds.  A
+    repetition runs ``crawl(i)`` on every graph in turn; ``crawl_hook``
+    is a context-manager factory entered around each ``crawl`` call
+    (the traced run installs its spans there).
     """
 
-    def __init__(self, inputs: Inputs, work_dir: Path) -> None:
+    def __init__(self, inputs: Inputs, work_dir: Path, clock: HostClock) -> None:
         self.inputs = inputs
         self.work_dir = work_dir
+        self.clock = clock
         self.graphs: list[WebsiteGraph] = []
 
     def setup(self) -> list[float]:
         seconds = []
+        clock = self.clock
         for site, site_seed in zip(self.inputs.sites, self.inputs.site_seeds):
-            started = time.perf_counter()
+            clock.probe()
+            started = clock.now()
             graph = build_graph(site, site_seed)
             self.prepare(graph)
             self.graphs.append(graph)
-            seconds.append(time.perf_counter() - started)
+            ended = clock.now()
+            clock.probe()
+            begin, end = clock.scaled([started, ended])
+            seconds.append(float(end - begin))
         return seconds
 
     def prepare(self, graph: WebsiteGraph) -> None:
@@ -260,13 +279,14 @@ class SBWarm(Workload):
     """SB-CLASSIFIER on environments whose render and parse caches were
     filled by set-up."""
 
-    def __init__(self, inputs: Inputs, work_dir: Path) -> None:
-        super().__init__(inputs, work_dir)
+    def __init__(self, inputs: Inputs, work_dir: Path, clock: HostClock) -> None:
+        super().__init__(inputs, work_dir, clock)
         self.envs: list[tuple[CrawlEnvironment, RequestLog]] = []
 
     def prepare(self, graph: WebsiteGraph) -> None:
-        env, log = logged_env(graph)
+        env, log = logged_env(graph, self.clock)
         for page in graph.pages():
+            self.clock.tick()
             if page.kind is PageKind.HTML and page.redirect_to is None:
                 response = log.inner.get(page.url)
                 if response.ok and response.body:
@@ -285,7 +305,7 @@ class BFSCold(Workload):
     """BFS on a fresh environment of each site in turn."""
 
     def crawl(self, index: int, crawl_hook) -> CrawlOutcome:
-        env, log = logged_env(self.graphs[index])
+        env, log = logged_env(self.graphs[index], self.clock)
         with crawl_hook():
             result, started, ended = _timed_crawl(BFSCrawler(), env, log)
         return _check_crawl(env, log, result, started, ended)
@@ -305,7 +325,7 @@ class SBDurable(Workload):
             trace_path = directory / "trace.jsonl"
             with JsonlSink(trace_path, meta={"site": graph.name}) as sink:
                 env, log = logged_env(
-                    graph,
+                    graph, self.clock,
                     observer=MultiObserver([counter, sink]),
                     fault_plan=fault_plan(inputs.fault_seeds[index]),
                     retry_policy=retry_policy,
@@ -353,5 +373,5 @@ def _durability_failures(store: CheckpointStore, trace_path: Path,
 WORKLOAD_CLASSES = {"sb-warm": SBWarm, "bfs-cold": BFSCold, "sb-durable": SBDurable}
 
 
-def make_workload(name: str, seed: int, work_dir: Path) -> Workload:
-    return WORKLOAD_CLASSES[name](make_inputs(name, seed), work_dir)
+def make_workload(name: str, seed: int, work_dir: Path, clock: HostClock) -> Workload:
+    return WORKLOAD_CLASSES[name](make_inputs(name, seed), work_dir, clock)
