@@ -13,7 +13,7 @@ import time
 from benchmarks.conftest import save_rendered
 from repro.analysis.metrics import requests_to_fraction
 from repro.core.crawler import SBConfig, sb_classifier
-from repro.experiments.runner import crawler_factory
+from repro.baselines import make_crawler
 
 SITES = ("qa", "cl", "cn", "be")
 
@@ -25,7 +25,7 @@ def test_bench_tres_comparison(benchmark, bench_cache, results_dir):
             env = bench_cache.env(site)
             total, avail = env.total_targets(), env.n_available()
             started = time.perf_counter()
-            tres = crawler_factory("TRES", seed=1).crawl(env)
+            tres = make_crawler("TRES", seed=1).crawl(env)
             tres_seconds = time.perf_counter() - started
             sb = bench_cache.run(site, "SB-CLASSIFIER", seed=1)
             rows.append(

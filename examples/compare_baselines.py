@@ -10,7 +10,8 @@ import sys
 from repro import CrawlEnvironment, load_paper_site
 from repro.analysis.metrics import requests_to_fraction, targets_vs_requests_curve
 from repro.experiments.report import ascii_curve
-from repro.experiments.runner import CRAWLER_ORDER, crawler_factory
+from repro.baselines import make_crawler
+from repro.experiments.runner import CRAWLER_ORDER
 
 
 def main(site: str = "in", scale: float = 0.4) -> None:
@@ -21,7 +22,7 @@ def main(site: str = "in", scale: float = 0.4) -> None:
     print(f"{'crawler':14} {'requests':>9} {'targets':>8} {'req-to-90%':>11}")
     curves = {}
     for name in CRAWLER_ORDER:
-        crawler = crawler_factory(name, seed=1)
+        crawler = make_crawler(name, seed=1)
         result = crawler.crawl(env)
         metric = requests_to_fraction(result.trace, total, avail)
         metric_text = f"{metric:.1f}%" if metric != float("inf") else "never"

@@ -10,6 +10,9 @@
   with the paper's oracle benefit during the first 3 k pages;
 * :class:`TresCrawler` — the topical RL crawler adaptation with its
   three "unfair advantages".
+
+:func:`make_crawler` builds any of them, or the SB crawler, by its
+table name (``CRAWLER_NAMES``).
 """
 
 from repro.baselines.simple import BFSCrawler, DFSCrawler, RandomCrawler
@@ -17,6 +20,7 @@ from repro.baselines.omniscient import OmniscientCrawler
 from repro.baselines.focused import FocusedCrawler
 from repro.baselines.tpoff import TPOffCrawler
 from repro.baselines.tres import TresCrawler
+from repro.baselines.registry import CRAWLER_NAMES, make_crawler
 
 __all__ = [
     "BFSCrawler",
@@ -26,4 +30,6 @@ __all__ = [
     "FocusedCrawler",
     "TPOffCrawler",
     "TresCrawler",
+    "CRAWLER_NAMES",
+    "make_crawler",
 ]

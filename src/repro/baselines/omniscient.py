@@ -8,36 +8,22 @@ Since optimally covering all targets through the link graph is NP-hard
 
 from __future__ import annotations
 
-from repro.core.base import Crawler, CrawlResult
-from repro.http.environment import CrawlEnvironment
+from repro.baselines.simple import BFSCrawler
 
 
-class OmniscientCrawler(Crawler):
-    """Fetches the ground-truth target list directly."""
+class OmniscientCrawler(BFSCrawler):
+    """Fetches the ground-truth target list directly, in URL order.
+
+    A FIFO seeded with V* instead of the root that follows no link;
+    it needs no robots.txt, since it never discovers a URL.
+    """
 
     name = "OMNISCIENT"
+    checkpoint_kind = "omniscient-crawl"
+    respect_robots = False
 
-    def crawl(
-        self,
-        env: CrawlEnvironment,
-        budget: float | None = None,
-        cost_model: str = "requests",
-    ) -> CrawlResult:
-        client = env.new_client(self.name)
-        targets: set[str] = set()
-        visited: set[str] = set()
-        for url in sorted(env.target_urls()):
-            if self.budget_exhausted(client, budget, cost_model):
-                break
-            response = client.get(url)
-            visited.add(url)
-            if response.ok and not response.interrupted:
-                targets.add(url)
-        return CrawlResult(
-            crawler=self.name,
-            site=env.graph.name,
-            trace=client.trace,
-            visited=visited,
-            targets=targets,
-            info={"ledger": client.ledger.snapshot()},
-        )
+    def seeds(self, kernel) -> list[str]:
+        return sorted(kernel.env.target_urls())
+
+    def on_link(self, kernel, link, source: str, parsed) -> bool:
+        return False

@@ -5,6 +5,9 @@
 * DFS keeps it as a LIFO stack (rarely used in practice — robot traps —
   but a meaningful discipline on deep portal sites).
 * RANDOM pops a uniformly random frontier URL.
+
+Each is only a frontier discipline: the crawl kernel fetches, follows
+redirects, filters links and queues every accepted one.
 """
 
 from __future__ import annotations
@@ -12,87 +15,92 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from repro.baselines.base import FrontierCrawler
+from repro.core.base import Crawler
 
 
-class BFSCrawler(FrontierCrawler):
+class BFSCrawler(Crawler):
     """Breadth-first exhaustive crawler (FIFO frontier)."""
 
     name = "BFS"
+    checkpoint_kind = "baseline-crawl"
 
-    def _frontier_init(self) -> None:
+    def start(self, kernel) -> None:
         self._queue: deque[str] = deque()
 
-    def _frontier_push(self, url: str, context: dict) -> None:
+    def push(self, kernel, url: str, ctx) -> None:
         self._queue.append(url)
 
-    def _frontier_pop(self) -> str:
-        return self._queue.popleft()
+    def has_next(self, kernel) -> bool:
+        return bool(self._queue)
 
-    def _frontier_empty(self) -> bool:
-        return not self._queue
+    def next_url(self, kernel) -> tuple[str, None]:
+        return self._queue.popleft(), None
 
-    def _frontier_state(self) -> dict | None:
-        return {"queue": list(self._queue)}
+    def snapshot_policy(self, kernel) -> dict:
+        return {"frontier": {"queue": list(self._queue)}}
 
-    def _frontier_restore(self, state: dict) -> None:
-        self._queue = deque(state["queue"])
+    def restore_policy(self, kernel, components: dict) -> None:
+        self._queue = deque(components["frontier"]["queue"])
 
 
-class DFSCrawler(FrontierCrawler):
+class DFSCrawler(Crawler):
     """Depth-first crawler (LIFO frontier)."""
 
     name = "DFS"
+    checkpoint_kind = "baseline-crawl"
 
-    def _frontier_init(self) -> None:
+    def start(self, kernel) -> None:
         self._stack: list[str] = []
 
-    def _frontier_push(self, url: str, context: dict) -> None:
+    def push(self, kernel, url: str, ctx) -> None:
         self._stack.append(url)
 
-    def _frontier_pop(self) -> str:
-        return self._stack.pop()
+    def has_next(self, kernel) -> bool:
+        return bool(self._stack)
 
-    def _frontier_empty(self) -> bool:
-        return not self._stack
+    def next_url(self, kernel) -> tuple[str, None]:
+        return self._stack.pop(), None
 
-    def _frontier_state(self) -> dict | None:
-        return {"stack": list(self._stack)}
+    def snapshot_policy(self, kernel) -> dict:
+        return {"frontier": {"stack": list(self._stack)}}
 
-    def _frontier_restore(self, state: dict) -> None:
-        self._stack = list(state["stack"])
+    def restore_policy(self, kernel, components: dict) -> None:
+        self._stack = list(components["frontier"]["stack"])
 
 
-class RandomCrawler(FrontierCrawler):
+class RandomCrawler(Crawler):
     """Uniform-random frontier crawler."""
 
     name = "RANDOM"
+    checkpoint_kind = "baseline-crawl"
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
-    def _frontier_init(self) -> None:
+    def start(self, kernel) -> None:
         self._rng = random.Random(self.seed)
         self._items: list[str] = []
 
-    def _frontier_push(self, url: str, context: dict) -> None:
+    def push(self, kernel, url: str, ctx) -> None:
         self._items.append(url)
 
-    def _frontier_pop(self) -> str:
+    def has_next(self, kernel) -> bool:
+        return bool(self._items)
+
+    def next_url(self, kernel) -> tuple[str, None]:
         index = self._rng.randrange(len(self._items))
         self._items[index], self._items[-1] = self._items[-1], self._items[index]
-        return self._items.pop()
+        return self._items.pop(), None
 
-    def _frontier_empty(self) -> bool:
-        return not self._items
-
-    def _frontier_state(self) -> dict | None:
+    def snapshot_policy(self, kernel) -> dict:
         from repro.checkpoint.codec import encode_rng_state
 
-        return {"items": list(self._items), "rng": encode_rng_state(self._rng)}
+        return {"frontier": {"items": list(self._items),
+                             "rng": encode_rng_state(self._rng)}}
 
-    def _frontier_restore(self, state: dict) -> None:
+    def restore_policy(self, kernel, components: dict) -> None:
         from repro.checkpoint.codec import decode_rng_state
 
+        state = components["frontier"]
         self._items = list(state["items"])
         self._rng.setstate(decode_rng_state(state["rng"]))

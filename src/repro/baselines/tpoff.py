@@ -23,19 +23,18 @@ import heapq
 from collections import deque
 
 from repro.core.actions import ActionSpace
-from repro.core.base import Crawler, CrawlResult
+from repro.core.base import Crawler
 from repro.core.tagpath import TagPathVectorizer
+from repro.core.url_classifier import UrlClass
 from repro.http.environment import CrawlEnvironment
-from repro.webgraph.mime import is_blocklisted_extension
 from repro.webgraph.model import PageKind
-
-_MAX_CHAIN_DEPTH = 25
 
 
 class TPOffCrawler(Crawler):
     """Offline tag-path crawler with oracle benefits in its first phase."""
 
     name = "TP-OFF"
+    checkpoint_kind = "tpoff-crawl"
 
     def __init__(
         self,
@@ -58,113 +57,100 @@ class TPOffCrawler(Crawler):
             return 0
         return sum(1 for link in page.links if link.url in target_urls)
 
-    # -- crawl ------------------------------------------------------------
+    # -- frontier ---------------------------------------------------------
 
-    def crawl(
-        self,
-        env: CrawlEnvironment,
-        budget: float | None = None,
-        cost_model: str = "requests",
-    ) -> CrawlResult:
-        from repro.http.robots import fetch_robots_policy
+    def start(self, kernel) -> None:
+        self._vectorizer = TagPathVectorizer(n=self.ngram_n)
+        self._actions = ActionSpace(self._vectorizer, theta=self.theta, seed=self.seed)
+        # oracle access, bootstrap phase only
+        self._target_urls = kernel.env.target_urls()
+        #: bootstrap frontier: FIFO of (url, group of the inbound link)
+        self._queue: deque[tuple[str, int | None]] = deque()
+        #: benefit accumulators per tag-path group
+        self._benefit_sum: dict[int, float] = {}
+        self._benefit_count: dict[int, int] = {}
+        #: exploitation frontier: heap keyed by -avg benefit of the group
+        self._heap: list[tuple[float, int, str]] = []
+        self._counter = 0
+        self._fetched_html = 0
+        self._exploiting = False
 
-        client = env.new_client(self.name)
-        robots = fetch_robots_policy(client, env.root_url)
-        vectorizer = TagPathVectorizer(n=self.ngram_n)
-        actions = ActionSpace(vectorizer, theta=self.theta, seed=self.seed)
-        target_urls = env.target_urls()  # oracle access, bootstrap phase only
+    def _group_priority(self, group: int | None) -> float:
+        if group is None or group not in self._benefit_count:
+            return 0.0  # unseen groups: fixed benefit 0
+        return self._benefit_sum[group] / self._benefit_count[group]
 
-        seen: set[str] = {env.root_url}
-        visited: set[str] = set()
-        targets: set[str] = set()
-        # Bootstrap frontier: FIFO of (url, group of the inbound link).
-        queue: deque[tuple[str, int | None]] = deque([(env.root_url, None)])
-        # Benefit accumulators per tag-path group.
-        benefit_sum: dict[int, float] = {}
-        benefit_count: dict[int, int] = {}
-        # Exploitation frontier: heap keyed by -avg benefit of the group.
-        heap: list[tuple[float, int, str]] = []
-        counter = 0
-        fetched_html = 0
+    def push(self, kernel, url: str, group: int | None) -> None:
+        if self._exploiting:
+            self._counter += 1
+            heapq.heappush(
+                self._heap, (-self._group_priority(group), self._counter, url)
+            )
+        else:
+            self._queue.append((url, group))
 
-        def group_priority(group: int | None) -> float:
-            if group is None or group not in benefit_count:
-                return 0.0  # unseen groups: fixed benefit 0
-            return benefit_sum[group] / benefit_count[group]
+    def has_next(self, kernel) -> bool:
+        if not self._exploiting and (
+            not self._queue or self._fetched_html >= self.bootstrap_pages
+        ):
+            # Phase transition: rank the remaining bootstrap frontier by
+            # the learned group priorities.
+            self._exploiting = True
+            queue, self._queue = self._queue, deque()
+            for url, group in queue:
+                self.push(kernel, url, group)
+        return bool(self._queue or self._heap)
 
-        def fetch(url: str, group: int | None, depth: int = 0) -> None:
-            nonlocal fetched_html, counter
-            if depth > _MAX_CHAIN_DEPTH or url in visited:
-                return
-            if self.budget_exhausted(client, budget, cost_model):
-                return
-            response = client.get(url)
-            visited.add(url)
-            if response.interrupted or response.is_error:
-                return
-            if response.is_redirect:
-                location = response.redirect_to
-                if location and env.in_site(location) and location not in visited:
-                    seen.add(location)
-                    fetch(location, group, depth + 1)
-                return
-            mime = response.mime_root() or ""
-            if env.is_target_mime(mime):
-                targets.add(url)
-                return
-            if "html" not in mime:
-                return
-            fetched_html += 1
-            in_bootstrap = fetched_html <= self.bootstrap_pages
-            if in_bootstrap and group is not None:
-                benefit = float(self._page_benefit(env, url, target_urls))
-                benefit_sum[group] = benefit_sum.get(group, 0.0) + benefit
-                benefit_count[group] = benefit_count.get(group, 0) + 1
-            parsed = env.parse(response)
-            for link in parsed.links:
-                if link.url in seen:
-                    continue
-                if not env.in_site(link.url) or is_blocklisted_extension(link.url):
-                    continue
-                if not robots.allowed(link.url):
-                    continue
-                seen.add(link.url)
-                link_group = actions.assign(link.tag_path)
-                if in_bootstrap:
-                    queue.append((link.url, link_group))
-                else:
-                    counter += 1
-                    heapq.heappush(
-                        heap, (-group_priority(link_group), counter, link.url)
-                    )
+    def next_url(self, kernel) -> tuple[str, int | None]:
+        if self._queue:
+            return self._queue.popleft()
+        return heapq.heappop(self._heap)[2], None
 
-        # Phase 1: BFS bootstrap with oracle benefits.
-        while queue and fetched_html < self.bootstrap_pages:
-            if self.budget_exhausted(client, budget, cost_model):
-                break
-            url, group = queue.popleft()
-            fetch(url, group)
+    # -- pages and links ----------------------------------------------------
 
-        # Phase transition: rank the remaining bootstrap frontier by the
-        # learned group priorities.
-        for url, group in queue:
-            counter += 1
-            heapq.heappush(heap, (-group_priority(group), counter, url))
-        queue.clear()
+    def on_response(self, kernel, url: str, group, kind: UrlClass, parsed) -> None:
+        if kind is not UrlClass.HTML:
+            return
+        self._fetched_html += 1
+        if not self._exploiting and group is not None:
+            benefit = float(self._page_benefit(kernel.env, url, self._target_urls))
+            self._benefit_sum[group] = self._benefit_sum.get(group, 0.0) + benefit
+            self._benefit_count[group] = self._benefit_count.get(group, 0) + 1
 
-        # Phase 2: exploitation by fixed group priorities.
-        while heap:
-            if self.budget_exhausted(client, budget, cost_model):
-                break
-            _, _, url = heapq.heappop(heap)
-            fetch(url, None)
+    def on_link(self, kernel, link, source: str, parsed) -> bool:
+        self.push(kernel, link.url, self._actions.assign(link.tag_path))
+        return False
 
-        return CrawlResult(
-            crawler=self.name,
-            site=env.graph.name,
-            trace=client.trace,
-            visited=visited,
-            targets=targets,
-            info={"n_groups": actions.n_actions,
-                  "ledger": client.ledger.snapshot()},
-        )
+    # -- result and checkpointing (repro.checkpoint) -------------------------
+
+    def result_info(self, kernel) -> dict:
+        return {"n_groups": self._actions.n_actions}
+
+    def snapshot_policy(self, kernel) -> dict:
+        return {
+            "frontier": {
+                "queue": [list(entry) for entry in self._queue],
+                "heap": [list(entry) for entry in self._heap],
+                "counter": self._counter,
+                "exploiting": self._exploiting,
+            },
+            "benefits": [
+                [group, self._benefit_sum[group], count]
+                for group, count in self._benefit_count.items()
+            ],
+            "fetched_html": self._fetched_html,
+            "actions": self._actions.snapshot_state(),
+            "vectorizer": self._vectorizer.snapshot_state(),
+        }
+
+    def restore_policy(self, kernel, components: dict) -> None:
+        frontier = components["frontier"]
+        self._queue = deque(tuple(entry) for entry in frontier["queue"])
+        self._heap = [tuple(entry) for entry in frontier["heap"]]
+        self._counter = frontier["counter"]
+        self._exploiting = frontier["exploiting"]
+        self._benefit_sum = {g: total for g, total, _ in components["benefits"]}
+        self._benefit_count = {g: n for g, _, n in components["benefits"]}
+        self._fetched_html = components["fetched_html"]
+        self._actions.restore_state(components["actions"])
+        self._vectorizer.restore_state(components["vectorizer"])

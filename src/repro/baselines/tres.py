@@ -29,12 +29,17 @@ from __future__ import annotations
 
 import re
 
-from repro.core.base import Crawler, CrawlResult
+from repro.core.base import Crawler
 from repro.core.url_classifier import OracleUrlClassifier, UrlClass
 from repro.http.environment import CrawlEnvironment
-from repro.ml.features import HashedVector, hashed_bow, merge_vectors
+from repro.ml.features import (
+    HashedVector,
+    decode_vector,
+    encode_vector,
+    hashed_bow,
+    merge_vectors,
+)
 from repro.ml.linear import LogisticRegressionSGD
-from repro.webgraph.mime import is_blocklisted_extension
 
 #: The 74 keywords the paper supplies to TRES (Appendix B.2).
 TRES_KEYWORDS: tuple[str, ...] = (
@@ -68,6 +73,7 @@ class TresCrawler(Crawler):
     """Topical RL crawler adaptation (with the paper's unfair advantages)."""
 
     name = "TRES"
+    checkpoint_kind = "tres-crawl"
 
     def __init__(
         self,
@@ -109,95 +115,67 @@ class TresCrawler(Crawler):
         lowered = text.lower()
         return sum(1.0 for keyword in self.keywords if keyword in lowered)
 
-    # -- crawl ----------------------------------------------------------------
+    # -- frontier -------------------------------------------------------------
 
-    def crawl(
-        self,
-        env: CrawlEnvironment,
-        budget: float | None = None,
-        cost_model: str = "requests",
-        max_steps: int | None = None,
-    ) -> CrawlResult:
-        from repro.http.robots import fetch_robots_policy
-
-        client = env.new_client(self.name)
-        robots = fetch_robots_policy(client, env.root_url)
-        model = self._pretrain(env)
+    def start(self, kernel) -> None:
+        self._model = self._pretrain(kernel.env)
         # unfair advantage (iii): oracle URL typing at zero cost
-        oracle = OracleUrlClassifier(env.graph, env.target_mimes)
-
-        seen: set[str] = {env.root_url}
-        visited: set[str] = set()
-        targets: set[str] = set()
+        self._oracle = OracleUrlClassifier(kernel.env.graph, kernel.env.target_mimes)
         #: frontier entries: url -> feature vector (anchor + source text)
-        frontier: dict[str, HashedVector] = {
-            env.root_url: _text_features("root")
-        }
-        steps = 0
+        self._frontier: dict[str, HashedVector] = {}
 
-        while frontier:
-            if self.budget_exhausted(client, budget, cost_model):
-                break
-            if max_steps is not None and steps >= max_steps:
-                break
-            steps += 1
-            # TRES's scalability bottleneck, reproduced on purpose: the
-            # full frontier is re-scored at every expansion step.
-            best_url = max(
-                frontier,
-                key=lambda u: model.predict_proba(frontier[u]),
-            )
-            frontier.pop(best_url)
-            response = client.get(best_url)
-            visited.add(best_url)
-            if response.interrupted or response.is_error:
-                continue
-            if response.is_redirect:
-                location = response.redirect_to
-                if location and env.in_site(location) and location not in seen:
-                    seen.add(location)
-                    frontier[location] = _text_features("redirect")
-                continue
-            mime = response.mime_root() or ""
-            if "html" not in mime:
-                continue
-            parsed = env.parse(response)
-            page_relevant = self._keyword_score(parsed.text) > 0
-            # Online update: page's own label from whether it links targets.
-            anchors = " ".join(link.anchor for link in parsed.links)
-            for link in parsed.links:
-                if link.url in seen:
-                    continue
-                if not env.in_site(link.url) or is_blocklisted_extension(link.url):
-                    continue
-                if not robots.allowed(link.url):
-                    continue
-                seen.add(link.url)
-                url_class = oracle.classify(link.url)
-                if url_class is UrlClass.HTML:
-                    frontier[link.url] = merge_vectors(
-                        [_text_features(link.anchor or "link"),
-                         _text_features(parsed.text[:400])]
-                    )
-                elif url_class is UrlClass.TARGET:
-                    # Adaptation: non-HTML links are visited immediately.
-                    if self.budget_exhausted(client, budget, cost_model):
-                        break
-                    target_response = client.get(link.url)
-                    visited.add(link.url)
-                    if target_response.ok and not target_response.interrupted:
-                        targets.add(link.url)
-            # Reinforce the relevance model with the observed page.
-            label = 1 if (page_relevant and any(
-                l.url in targets for l in parsed.links)) else 0
-            model.partial_fit([_text_features(anchors)], [label])
-
-        return CrawlResult(
-            crawler=self.name,
-            site=env.graph.name,
-            trace=client.trace,
-            visited=visited,
-            targets=targets,
-            info={"steps": steps,
-                  "ledger": client.ledger.snapshot()},
+    def push(self, kernel, url: str, features: HashedVector | None) -> None:
+        # the root and requeued target links carry no anchor context
+        self._frontier[url] = (
+            features if features is not None else _text_features("link")
         )
+
+    def has_next(self, kernel) -> bool:
+        return bool(self._frontier)
+
+    def next_url(self, kernel) -> tuple[str, HashedVector]:
+        # TRES's scalability bottleneck, reproduced on purpose: the full
+        # frontier is re-scored at every expansion step.
+        model, frontier = self._model, self._frontier
+        best_url = max(frontier, key=lambda u: model.predict_proba(frontier[u]))
+        return best_url, frontier.pop(best_url)
+
+    # -- pages and links ----------------------------------------------------------
+
+    def follow_redirect(self, kernel, location: str, features) -> bool:
+        # Redirect targets join the frontier instead of being fetched.
+        if location not in kernel.seen:
+            kernel.seen.add(location)
+            self._frontier[location] = _text_features("redirect")
+        return False
+
+    def on_link(self, kernel, link, source: str, parsed) -> bool:
+        url_class = self._oracle.classify(link.url)
+        if url_class is UrlClass.HTML:
+            self._frontier[link.url] = merge_vectors(
+                [_text_features(link.anchor or "link"),
+                 _text_features(parsed.text[:400])]
+            )
+        # Adaptation: non-HTML links are visited immediately.
+        return url_class is UrlClass.TARGET
+
+    def after_page(self, kernel, url: str, features, parsed, reward: int) -> None:
+        # Reinforce the relevance model with the observed page: its label
+        # is whether it is relevant and links to targets.
+        page_relevant = self._keyword_score(parsed.text) > 0
+        label = 1 if (page_relevant and any(
+            link.url in kernel.targets for link in parsed.links)) else 0
+        anchors = " ".join(link.anchor for link in parsed.links)
+        self._model.partial_fit([_text_features(anchors)], [label])
+
+    # -- checkpointing (repro.checkpoint) --------------------------------------
+
+    def snapshot_policy(self, kernel) -> dict:
+        return {
+            "frontier": [[url, encode_vector(v)] for url, v in self._frontier.items()],
+            "model": self._model.snapshot_state(),
+        }
+
+    def restore_policy(self, kernel, components: dict) -> None:
+        self._frontier = {url: decode_vector(v) for url, v in components["frontier"]}
+        self._model.restore_state(components["model"])

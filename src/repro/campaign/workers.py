@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from repro.analysis.trace import CrawlTrace
+from repro.baselines import make_crawler
 from repro.campaign.scheduler import SiteWorkload
 from repro.checkpoint.controller import CrawlInterrupted
 from repro.http.ledger import CostLedger
@@ -112,69 +113,10 @@ def trace_digest(trace: CrawlTrace) -> str:
     ).hexdigest()
 
 
-def _ledger_from_trace(trace: CrawlTrace) -> CostLedger:
-    """Reconstruct request/volume counters for a crawler that did not
-    surface its client ledger (retry counters are unrecoverable)."""
-    ledger = CostLedger()
-    for record in trace.records:
-        ledger.record(record.method, record.size, record.is_target)
-    return ledger
-
-
 def site_seed(campaign_seed: int, site: str) -> int:
     """The per-site crawl seed: derived, so sites are decorrelated and
     the assignment of sites to shards cannot change any crawl."""
     return derive_seed(campaign_seed, "campaign", site)
-
-
-def make_crawler(name: str, seed: int):
-    """Instantiate a crawler by its table name.
-
-    Local to the campaign layer on purpose: the experiments package
-    (which has its own factory for the paper tables) sits *above*
-    campaign in the layer diagram, so workers cannot reach into it
-    without inverting the architecture — and without dragging the
-    whole experiment runner into the shard-safety surface.
-    """
-    from repro.baselines import (
-        BFSCrawler,
-        DFSCrawler,
-        FocusedCrawler,
-        OmniscientCrawler,
-        RandomCrawler,
-        TPOffCrawler,
-        TresCrawler,
-    )
-    from repro.core.crawler import SBConfig, SBCrawler
-
-    if name == "SB-ORACLE":
-        return SBCrawler(SBConfig(use_oracle=True, seed=seed))
-    if name == "SB-CLASSIFIER":
-        return SBCrawler(SBConfig(use_oracle=False, seed=seed))
-    if name == "FOCUSED":
-        return FocusedCrawler(seed=seed)
-    if name == "TP-OFF":
-        return TPOffCrawler(bootstrap_pages=300, seed=seed)
-    if name == "BFS":
-        return BFSCrawler()
-    if name == "DFS":
-        return DFSCrawler()
-    if name == "RANDOM":
-        return RandomCrawler(seed=seed)
-    if name == "OMNISCIENT":
-        return OmniscientCrawler()
-    if name == "TRES":
-        return TresCrawler(seed=seed)
-    raise ValueError(f"unknown crawler: {name!r}")
-
-
-def _supports_checkpoint(crawler) -> bool:
-    """Whether the crawler's ``crawl`` accepts a ``checkpoint`` kwarg
-    (crawlers without one simply restart their in-flight site on
-    resume; completed sites still come from the shard progress)."""
-    import inspect
-
-    return "checkpoint" in inspect.signature(crawler.crawl).parameters
 
 
 def _crawl_site(task: ShardTask, site: str, seed: int,
@@ -188,15 +130,12 @@ def _crawl_site(task: ShardTask, site: str, seed: int,
     from repro.webgraph.sites import load_paper_site
 
     crawler = make_crawler(task.crawler, seed)
-    kwargs: dict = {}
-    if checkpointer is not None and _supports_checkpoint(crawler):
-        kwargs["checkpoint"] = checkpointer
 
     if task.trace_dir is None:
         env = CrawlEnvironment(
             load_paper_site(site, scale=task.scale), observer=observer
         )
-        return crawler.crawl(env, budget=task.budget, **kwargs)
+        return crawler.crawl(env, budget=task.budget, checkpoint=checkpointer)
 
     # The directory must already exist: creating it here would put
     # filesystem io on the worker surface the shard-safety certificate
@@ -227,14 +166,11 @@ def _crawl_site(task: ShardTask, site: str, seed: int,
             load_paper_site(site, scale=task.scale),
             observer=MultiObserver([observer, sink]),
         )
-        return crawler.crawl(env, budget=task.budget, **kwargs)
+        return crawler.crawl(env, budget=task.budget, checkpoint=checkpointer)
 
 
 def _site_outcome(task: ShardTask, site: str, seed: int, result) -> SiteOutcome:
     """Reduce one crawl result to its picklable site outcome."""
-    ledger = result.info.get("ledger")
-    if not isinstance(ledger, CostLedger):
-        ledger = _ledger_from_trace(result.trace)
     return SiteOutcome(
         site=site,
         crawler=task.crawler,
@@ -246,7 +182,7 @@ def _site_outcome(task: ShardTask, site: str, seed: int, result) -> SiteOutcome:
         stopped_early=result.stopped_early,
         n_dead_letters=result.n_dead_letters,
         trace_digest=trace_digest(result.trace),
-        ledger=ledger,
+        ledger=result.info["ledger"],
         workload=SiteWorkload.from_trace(result.trace),
     )
 

@@ -133,11 +133,8 @@ class CrawlCheckpointer:
 
     # -- per-iteration hook ------------------------------------------
 
-    def _build(self, build_payload: Callable[[], dict | None]) -> dict | None:
-        payload = build_payload()
-        if payload is None:
-            return None
-        payload = dict(payload)
+    def _build(self, build_payload: Callable[[], dict]) -> dict:
+        payload = dict(build_payload())
         payload["step"] = self.step
         if self.extras:
             payload["extras"] = {
@@ -146,22 +143,19 @@ class CrawlCheckpointer:
             }
         return payload
 
-    def _save(self, payload: dict | None):
+    def _save(self, payload: dict):
         self.last_payload = payload
-        if payload is None or self.store is None:
+        if self.store is None:
             return None
         path = self.store.write_checkpoint(payload, step=self.step)
         self._last_saved_step = self.step
         self.store.prune_old(keep=max(self.keep, 2))
         return path
 
-    def tick(self, build_payload: Callable[[], dict | None]) -> None:
+    def tick(self, build_payload: Callable[[], dict]) -> None:
         """Call once at the top of each crawl-loop iteration.
 
-        ``build_payload`` is only invoked when a save actually happens;
-        it may return ``None`` for crawlers that cannot snapshot their
-        frontier (the interrupt still fires, the site restarts fresh on
-        resume).
+        ``build_payload`` is only invoked when a save actually happens.
         """
         interrupted = (self.flag is not None and self.flag.is_set()) or (
             self.interrupt_at is not None and self.step >= self.interrupt_at

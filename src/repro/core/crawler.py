@@ -17,13 +17,14 @@ SB-ORACLE when ``SBConfig.use_oracle`` is set.  One crawl step:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.actions import ActionSpace
 from repro.core.bandit import DEFAULT_ALPHA, SleepingBandit, make_bandit
-from repro.core.base import Crawler, CrawlResult
+from repro.core.base import Crawler
 from repro.core.early_stopping import EarlyStoppingMonitor
 from repro.core.frontier import Frontier
+from repro.core.kernel import CrawlKernel
 from repro.core.tagpath import DEFAULT_M, DEFAULT_PRIME, DEFAULT_W, TagPathVectorizer
 from repro.core.url_classifier import (
     LinkContext,
@@ -31,19 +32,14 @@ from repro.core.url_classifier import (
     OracleUrlClassifier,
     UrlClass,
 )
-from repro.http.environment import CrawlEnvironment
 from repro.http.messages import Response
-from repro.http.robots import RobotsPolicy, fetch_robots_policy
 from repro.ml.metrics import ConfusionMatrix
-from repro.obs.events import ActionCreated, ActionSelected, TargetFound
-from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.webgraph.mime import is_blocklisted_extension, is_target_mime
+from repro.obs.events import ActionCreated, ActionSelected
+from repro.obs.observer import Observer
+from repro.webgraph.mime import is_target_mime
 
 #: Sentinel action for the root URL (discovered before any action exists).
 _ROOT_ACTION = -1
-
-#: Recursion guard for redirect / immediate-target chains.
-_MAX_CHAIN_DEPTH = 25
 
 
 @dataclass(frozen=True)
@@ -85,32 +81,10 @@ class SBConfig:
         return replace(self, seed=seed)
 
 
-@dataclass
-class _SBState:
-    """Mutable state of one crawl run (keeps SBCrawler.crawl reentrant)."""
-
-    env: CrawlEnvironment
-    client: object
-    vectorizer: TagPathVectorizer
-    actions: ActionSpace
-    bandit: SleepingBandit
-    frontier: Frontier
-    classifier: object
-    monitor: EarlyStoppingMonitor | None
-    visited: set[str] = field(default_factory=set)
-    seen: set[str] = field(default_factory=set)
-    targets: set[str] = field(default_factory=set)
-    dead_letters: list[str] = field(default_factory=list)
-    requeues: dict[str, int] = field(default_factory=dict)
-    t: int = 0
-    confusion: ConfusionMatrix = field(default_factory=ConfusionMatrix)
-    oracle: OracleUrlClassifier | None = None
-    robots: RobotsPolicy = field(default_factory=RobotsPolicy)
-    observer: Observer = NULL_OBSERVER
-
-
 class SBCrawler(Crawler):
     """SB-CLASSIFIER / SB-ORACLE (the paper's contribution)."""
+
+    checkpoint_kind = "sb-crawl"
 
     def __init__(self, config: SBConfig | None = None, name: str | None = None) -> None:
         self.config = config or SBConfig()
@@ -118,360 +92,124 @@ class SBCrawler(Crawler):
             self.name = name
         else:
             self.name = "SB-ORACLE" if self.config.use_oracle else "SB-CLASSIFIER"
+        self.respect_robots = self.config.respect_robots
+        self.max_requeues = self.config.max_requeues
+        self.observer = self.config.observer
 
     # -- setup ------------------------------------------------------------
 
-    def _new_state(self, env: CrawlEnvironment) -> _SBState:
+    def start(self, kernel: CrawlKernel) -> None:
         config = self.config
-        observer = (
-            config.observer if config.observer is not None else env.observer
-        )
-        vectorizer = TagPathVectorizer(
+        env = kernel.env
+        self._vectorizer = TagPathVectorizer(
             n=config.ngram_n, m=config.m, w=config.w, prime=config.prime
         )
-        actions = ActionSpace(vectorizer, theta=config.theta, seed=config.seed)
-        bandit = make_bandit(
+        self._actions = ActionSpace(
+            self._vectorizer, theta=config.theta, seed=config.seed
+        )
+        self._bandit: SleepingBandit = make_bandit(
             config.bandit_policy, alpha=config.alpha,
             epsilon=config.epsilon, seed=config.seed,
         )
-        frontier = Frontier(seed=config.seed)
+        self._frontier = Frontier(seed=config.seed)
         if config.use_oracle:
-            classifier: object = OracleUrlClassifier(env.graph, env.target_mimes)
+            self._classifier: object = OracleUrlClassifier(env.graph, env.target_mimes)
         else:
-            classifier = OnlineUrlClassifier(
+            self._classifier = OnlineUrlClassifier(
                 batch_size=config.batch_size,
                 model=config.classifier_model,
                 feature_set=config.feature_set,
                 seed=config.seed,
-                observer=observer,
+                observer=kernel.observer,
             )
-        monitor = None
+        self._monitor: EarlyStoppingMonitor | None = None
         if config.early_stopping:
-            monitor = EarlyStoppingMonitor(
+            self._monitor = EarlyStoppingMonitor(
                 window=config.es_window,
                 threshold=config.es_threshold,
                 decay=config.es_decay,
                 patience=config.es_patience,
-                observer=observer,
+                observer=kernel.observer,
             )
-        return _SBState(
-            env=env,
-            client=env.new_client(self.name, observer=observer),
-            observer=observer,
-            vectorizer=vectorizer,
-            actions=actions,
-            bandit=bandit,
-            frontier=frontier,
-            classifier=classifier,
-            monitor=monitor,
-            oracle=OracleUrlClassifier(env.graph, env.target_mimes),
+        self._confusion = ConfusionMatrix()
+        self._oracle = OracleUrlClassifier(env.graph, env.target_mimes)
+        self._n_awake = 0
+
+    # -- Algorithm 3: the frontier and the bandit ---------------------------
+
+    def push(self, kernel: CrawlKernel, url: str, ctx) -> None:
+        # abandoned URLs go back into their action; the root (and
+        # immediately fetched links) into the root pool
+        self._frontier.add(url, _ROOT_ACTION if ctx is None else ctx)
+
+    def has_next(self, kernel: CrawlKernel) -> bool:
+        return len(self._frontier) > 0
+
+    def next_url(self, kernel: CrawlKernel) -> tuple[str, int | None]:
+        awake = [a for a in self._frontier.awake_actions() if a != _ROOT_ACTION]
+        self._n_awake = len(awake)
+        if awake:
+            action_id = self._bandit.select(awake, max(kernel.t, 1))
+            url = self._frontier.pop_from_action(action_id)
+            self._bandit.record_selection(action_id)
+            return url, action_id
+        return self._frontier.pop_random(), None
+
+    def after_step(self, kernel: CrawlKernel, url: str, action_id, reward: int) -> bool:
+        if kernel.observer.enabled:
+            kernel.observer.on_event(
+                ActionSelected(
+                    step=kernel.t,
+                    action_id=action_id if action_id is not None else _ROOT_ACTION,
+                    score=self._bandit.last_score if action_id is not None else 0.0,
+                    n_awake=self._n_awake,
+                    frontier_size=len(self._frontier),
+                    url=url,
+                    reward=reward,
+                )
+            )
+        return self._monitor is not None and self._monitor.observe(len(kernel.targets))
+
+    # -- Algorithm 4: pages and links ------------------------------------------
+
+    def follow_redirect(self, kernel: CrawlKernel, location: str, ctx) -> bool:
+        return location not in self._frontier
+
+    def on_response(self, kernel: CrawlKernel, url: str, ctx, kind: UrlClass,
+                    parsed) -> None:
+        if kind is not UrlClass.NEITHER:
+            self._classifier.add_labeled(url, kind)
+
+    def on_link(self, kernel: CrawlKernel, link, source: str, parsed) -> bool:
+        label = self._classify_link(
+            kernel, link.url, link.anchor, link.tag_path, parsed.text
         )
-
-    # -- Algorithm 3 ----------------------------------------------------------
-
-    def crawl(
-        self,
-        env: CrawlEnvironment,
-        budget: float | None = None,
-        cost_model: str = "requests",
-        checkpoint=None,
-    ) -> CrawlResult:
-        state = self._new_state(env)
-        if checkpoint is not None and checkpoint.resume_payload is not None:
-            # Resume: the snapshot was taken at the top of the crawl
-            # loop, after robots fetch and root seeding, so neither is
-            # repeated here.
-            self._restore_crawl_state(state, checkpoint.resume_payload)
-        else:
-            if self.config.respect_robots:
-                state.robots = fetch_robots_policy(state.client, env.root_url)
-            state.seen.add(env.root_url)
-            state.frontier.add(env.root_url, _ROOT_ACTION)
-        stopped_early = False
-
-        while len(state.frontier) > 0:
-            if checkpoint is not None:
-                # May raise CrawlInterrupted after saving a final
-                # checkpoint; the payload describes state *before* this
-                # iteration, so resume re-executes it exactly.
-                checkpoint.tick(lambda: self._checkpoint_payload(state))
-            if self.budget_exhausted(state.client, budget, cost_model):
-                break
-            awake = [a for a in state.frontier.awake_actions() if a != _ROOT_ACTION]
-            if awake:
-                action_id = state.bandit.select(awake, max(state.t, 1))
-                url = state.frontier.pop_from_action(action_id)
-                state.bandit.record_selection(action_id)
-            else:
-                action_id = None
-                url = state.frontier.pop_random()
-            reward = self._crawl_next_page(state, url, action_id, budget, cost_model)
-            if state.observer.enabled:
-                state.observer.on_event(
-                    ActionSelected(
-                        step=state.t,
-                        action_id=action_id if action_id is not None else _ROOT_ACTION,
-                        score=state.bandit.last_score if action_id is not None else 0.0,
-                        n_awake=len(awake),
-                        frontier_size=len(state.frontier),
-                        url=url,
-                        reward=reward,
+        if label is UrlClass.HTML:
+            actions = self._actions
+            n_before = actions.n_actions
+            new_action = actions.assign(link.tag_path)
+            self._bandit.ensure_arm(new_action)
+            self._frontier.add(link.url, new_action)
+            if kernel.observer.enabled and actions.n_actions > n_before:
+                kernel.observer.on_event(
+                    ActionCreated(
+                        action_id=new_action,
+                        tag_path=link.tag_path,
+                        n_actions=actions.n_actions,
+                        step=kernel.t,
                     )
                 )
-            if state.monitor is not None and state.monitor.observe(len(state.targets)):
-                stopped_early = True
-                break
+        # TARGET: fetched right away and counted into the reward;
+        # NEITHER (oracle only) and None (budget spent on HEADs): dropped.
+        return label is UrlClass.TARGET
 
-        trace = state.client.trace
-        if stopped_early:
-            trace.stopped_early_at = len(trace.records)
-        mean, std = state.bandit.nonzero_reward_stats()
-        return CrawlResult(
-            crawler=self.name,
-            site=env.graph.name,
-            trace=trace,
-            visited=state.visited,
-            targets=state.targets,
-            stopped_early=stopped_early,
-            dead_letters=state.dead_letters,
-            info={
-                "ledger": state.client.ledger.snapshot(),
-                "n_actions": state.actions.n_actions,
-                "reward_mean_nonzero": mean,
-                "reward_std_nonzero": std,
-                "top10_rewards": state.bandit.top_mean_rewards(10),
-                "bandit": state.bandit,
-                "actions": state.actions,
-                "confusion": state.confusion,
-                "early_stopping": state.monitor,
-                "classifier_prequential_accuracy": (
-                    state.classifier.prequential_accuracy()
-                    if isinstance(state.classifier, OnlineUrlClassifier)
-                    else 1.0
-                ),
-                "classifier_recent_accuracy": (
-                    state.classifier.recent_accuracy()
-                    if isinstance(state.classifier, OnlineUrlClassifier)
-                    else 1.0
-                ),
-            },
-        )
-
-    # -- checkpointing (repro.checkpoint) -----------------------------------
-
-    def _checkpoint_payload(self, state: _SBState) -> dict:
-        """Full crawl state as a canonical-JSON-safe payload (see
-        docs/checkpoint.md for the schema)."""
-        return {
-            "kind": "sb-crawl",
-            "crawler": self.name,
-            "site": state.env.graph.name,
-            "components": {
-                "frontier": state.frontier.snapshot_state(),
-                "bandit": state.bandit.snapshot_state(),
-                "actions": state.actions.snapshot_state(),
-                "vectorizer": state.vectorizer.snapshot_state(),
-                "classifier": (
-                    state.classifier.snapshot_state()
-                    if isinstance(state.classifier, OnlineUrlClassifier)
-                    else None
-                ),
-                "monitor": (
-                    state.monitor.snapshot_state()
-                    if state.monitor is not None
-                    else None
-                ),
-                "client": state.client.snapshot_state(),
-                "confusion": state.confusion.snapshot_state(),
-                "robots": state.robots.snapshot_state(),
-                "crawl": {
-                    "t": state.t,
-                    "visited": sorted(state.visited),
-                    "seen": sorted(state.seen),
-                    "targets": sorted(state.targets),
-                    "dead_letters": list(state.dead_letters),
-                    "requeues": dict(state.requeues),
-                },
-            },
-        }
-
-    def _restore_crawl_state(self, state: _SBState, payload: dict) -> None:
-        """Inverse of :meth:`_checkpoint_payload`; fails loudly when the
-        checkpoint belongs to a different crawler or site."""
-        from repro.checkpoint.store import CheckpointError
-
-        if payload.get("kind") != "sb-crawl":
-            raise CheckpointError(
-                f"checkpoint kind {payload.get('kind')!r} is not an "
-                "sb-crawl snapshot"
-            )
-        if payload.get("crawler") != self.name or (
-            payload.get("site") != state.env.graph.name
-        ):
-            raise CheckpointError(
-                f"checkpoint is for {payload.get('crawler')!r} on "
-                f"{payload.get('site')!r}, not {self.name!r} on "
-                f"{state.env.graph.name!r}"
-            )
-        parts = payload["components"]
-        state.frontier.restore_state(parts["frontier"])
-        state.bandit.restore_state(parts["bandit"])
-        state.actions.restore_state(parts["actions"])
-        state.vectorizer.restore_state(parts["vectorizer"])
-        if parts["classifier"] is not None:
-            if not isinstance(state.classifier, OnlineUrlClassifier):
-                raise CheckpointError(
-                    "checkpoint carries classifier state but this "
-                    "crawler runs with the oracle classifier"
-                )
-            state.classifier.restore_state(parts["classifier"])
-        if parts["monitor"] is not None:
-            if state.monitor is None:
-                raise CheckpointError(
-                    "checkpoint carries early-stopping state but this "
-                    "crawler has early stopping disabled"
-                )
-            state.monitor.restore_state(parts["monitor"])
-        state.client.restore_state(parts["client"])
-        state.confusion.restore_state(parts["confusion"])
-        state.robots.restore_state(parts["robots"])
-        crawl = parts["crawl"]
-        state.t = crawl["t"]
-        state.visited = set(crawl["visited"])
-        state.seen = set(crawl["seen"])
-        state.targets = set(crawl["targets"])
-        state.dead_letters = list(crawl["dead_letters"])
-        state.requeues = dict(crawl["requeues"])
-
-    # -- Algorithm 4 -----------------------------------------------------------
-
-    def _crawl_next_page(
-        self,
-        state: _SBState,
-        url: str,
-        action_id: int | None,
-        budget: float | None,
-        cost_model: str,
-        depth: int = 0,
-    ) -> int:
-        """Fetch one page; returns the number of targets retrieved by this call
-        (including redirect/immediate-target recursion)."""
-        if depth > _MAX_CHAIN_DEPTH:
-            return 0
-        if self.budget_exhausted(state.client, budget, cost_model):
-            return 0
-        response: Response = state.client.get(url)
-        if response.abandoned:
-            # Transient failure, retries exhausted: requeue into the
-            # link's frontier action a bounded number of times, then
-            # dead-letter (graceful degradation, docs/architecture.md).
-            self._handle_abandoned(state, url, action_id)
-            return 0
-        state.visited.add(url)
-        state.t += 1
-
-        if response.interrupted:
-            return 0
-        if response.is_error:
-            if response.is_permanent_error:
-                state.dead_letters.append(url)
-            return 0
-        if response.is_redirect:
-            location = response.redirect_to
-            if (
-                location
-                and state.env.in_site(location)
-                and location not in state.visited
-                and location not in state.frontier
-            ):
-                state.seen.add(location)
-                return self._crawl_next_page(
-                    state, location, action_id, budget, cost_model, depth + 1
-                )
-            return 0
-
-        mime = response.mime_root()
-        if mime is None:
-            return 0
-        if "html" in mime:
-            state.classifier.add_labeled(url, UrlClass.HTML)
-            parsed = state.env.parse(response)
-            links = [l for l in parsed.links if state.env.in_site(l.url)]
-            page_text = parsed.text
-        elif state.env.is_target_mime(mime):
-            state.classifier.add_labeled(url, UrlClass.TARGET)
-            state.targets.add(url)
-            if state.observer.enabled:
-                state.observer.on_event(
-                    TargetFound(
-                        ordinal=state.client.ledger.n_requests,
-                        url=url,
-                        n_targets=len(state.targets),
-                    )
-                )
-            return 1
-        else:
-            return 0
-
-        reward = 0
-        for link in links:
-            if link.url in state.seen:
-                continue
-            if is_blocklisted_extension(link.url):
-                state.seen.add(link.url)
-                continue
-            if not state.robots.allowed(link.url):
-                state.seen.add(link.url)
-                continue
-            label = self._classify_link(
-                state, link.url, link.anchor, link.tag_path, page_text,
-                budget, cost_model,
-            )
-            if label is None:
-                break  # budget ran out during the initial HEAD phase
-            state.seen.add(link.url)
-            if label is UrlClass.HTML:
-                n_before = state.actions.n_actions
-                new_action = state.actions.assign(link.tag_path)
-                state.bandit.ensure_arm(new_action)
-                state.frontier.add(link.url, new_action)
-                if state.observer.enabled and state.actions.n_actions > n_before:
-                    state.observer.on_event(
-                        ActionCreated(
-                            action_id=new_action,
-                            tag_path=link.tag_path,
-                            n_actions=state.actions.n_actions,
-                            step=state.t,
-                        )
-                    )
-            elif label is UrlClass.TARGET:
-                reward += self._crawl_next_page(
-                    state, link.url, None, budget, cost_model, depth + 1
-                )
-            # NEITHER (oracle only): drop the link at zero cost.
-
-        self._process_forms(state, parsed)
-
+    def after_page(self, kernel: CrawlKernel, url: str, action_id, parsed,
+                   reward: int) -> None:
+        self._process_forms(kernel, parsed)
         if action_id is not None and action_id != _ROOT_ACTION:
-            state.bandit.record_reward(action_id, float(reward))
-        return reward
+            self._bandit.record_reward(action_id, float(reward))
 
-    def _handle_abandoned(
-        self, state: _SBState, url: str, action_id: int | None
-    ) -> None:
-        """Requeue an abandoned URL into its frontier action, or
-        dead-letter it once ``max_requeues`` chances are spent."""
-        count = state.requeues.get(url, 0)
-        if count < self.config.max_requeues:
-            state.requeues[url] = count + 1
-            state.frontier.add(
-                url, action_id if action_id is not None else _ROOT_ACTION
-            )
-        else:
-            state.dead_letters.append(url)
-            state.visited.add(url)
-
-    def _process_forms(self, state: _SBState, parsed) -> None:
+    def _process_forms(self, kernel: CrawlKernel, parsed) -> None:
         """Hook for deep-web subclasses; the base crawler ignores forms
         (the paper's crawler is navigation-only; Sec. 6 future work)."""
 
@@ -479,17 +217,15 @@ class SBCrawler(Crawler):
 
     def _classify_link(
         self,
-        state: _SBState,
+        kernel: CrawlKernel,
         url: str,
         anchor: str,
         tag_path: str,
         page_text: str,
-        budget: float | None,
-        cost_model: str,
     ) -> UrlClass | None:
         """Classify one newly discovered link, paying HEAD during the
         initial training phase.  Returns None if the budget died first."""
-        classifier = state.classifier
+        classifier = self._classifier
         context = None
         if getattr(classifier, "feature_set", "URL_ONLY") == "URL_CONT":
             context = LinkContext(
@@ -497,24 +233,82 @@ class SBCrawler(Crawler):
             )
         if isinstance(classifier, OracleUrlClassifier):
             label = classifier.classify(url, context)
-            self._record_confusion(state, url, label)
-            return label
-        if classifier.initial_training_phase:
-            if self.budget_exhausted(state.client, budget, cost_model):
+        elif classifier.initial_training_phase:
+            if kernel.budget_exhausted():
                 return None
-            head = state.client.head(url)
-            label = _label_from_head(head, state.env.target_mimes)
+            head = kernel.client.head(url)
+            label = _label_from_head(head, kernel.env.target_mimes)
             classifier.add_labeled(url, label, context)
-            self._record_confusion(state, url, label)
             # HEAD already told us the truth: act on it directly.
-            return label
-        label = classifier.classify(url, context)
-        self._record_confusion(state, url, label)
+        else:
+            label = classifier.classify(url, context)
+        truth = self._oracle.classify(url)
+        self._confusion.update(truth.value, label.value)
         return label
 
-    def _record_confusion(self, state: _SBState, url: str, predicted: UrlClass) -> None:
-        truth = state.oracle.classify(url) if state.oracle else UrlClass.NEITHER
-        state.confusion.update(truth.value, predicted.value)
+    # -- result and checkpointing (repro.checkpoint) --------------------------
+
+    def result_info(self, kernel: CrawlKernel) -> dict:
+        mean, std = self._bandit.nonzero_reward_stats()
+        online = isinstance(self._classifier, OnlineUrlClassifier)
+        return {
+            "n_actions": self._actions.n_actions,
+            "reward_mean_nonzero": mean,
+            "reward_std_nonzero": std,
+            "top10_rewards": self._bandit.top_mean_rewards(10),
+            "bandit": self._bandit,
+            "actions": self._actions,
+            "confusion": self._confusion,
+            "early_stopping": self._monitor,
+            "classifier_prequential_accuracy": (
+                self._classifier.prequential_accuracy() if online else 1.0
+            ),
+            "classifier_recent_accuracy": (
+                self._classifier.recent_accuracy() if online else 1.0
+            ),
+        }
+
+    def snapshot_policy(self, kernel: CrawlKernel) -> dict:
+        return {
+            "frontier": self._frontier.snapshot_state(),
+            "bandit": self._bandit.snapshot_state(),
+            "actions": self._actions.snapshot_state(),
+            "vectorizer": self._vectorizer.snapshot_state(),
+            "classifier": (
+                self._classifier.snapshot_state()
+                if isinstance(self._classifier, OnlineUrlClassifier)
+                else None
+            ),
+            "monitor": (
+                self._monitor.snapshot_state()
+                if self._monitor is not None
+                else None
+            ),
+            "confusion": self._confusion.snapshot_state(),
+        }
+
+    def restore_policy(self, kernel: CrawlKernel, parts: dict) -> None:
+        from repro.checkpoint.store import CheckpointError
+
+        self._frontier.restore_state(parts["frontier"])
+        self._bandit.restore_state(parts["bandit"])
+        self._actions.restore_state(parts["actions"])
+        self._vectorizer.restore_state(parts["vectorizer"])
+        if parts["classifier"] is not None:
+            if not isinstance(self._classifier, OnlineUrlClassifier):
+                raise CheckpointError(
+                    "checkpoint carries classifier state but this "
+                    "crawler runs with the oracle classifier"
+                )
+            self._classifier.restore_state(parts["classifier"])
+        if parts["monitor"] is not None:
+            if self._monitor is None:
+                raise CheckpointError(
+                    "checkpoint carries early-stopping state but this "
+                    "crawler has early stopping disabled"
+                )
+            self._monitor.restore_state(parts["monitor"])
+        self._confusion.restore_state(parts["confusion"])
 
 
 def _label_from_head(

@@ -24,7 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.ml.features import HashedVector, hashed_bow, merge_vectors
+from repro.ml.features import (
+    HashedVector,
+    decode_vector,
+    encode_vector,
+    hashed_bow,
+    merge_vectors,
+)
 from repro.ml.linear import (
     LinearSVMSGD,
     LogisticRegressionSGD,
@@ -215,25 +221,15 @@ class OnlineUrlClassifier:
 
     @staticmethod
     def _encode_batch(batch: _Batch) -> dict:
-        from repro.checkpoint.codec import encode_array
-
         return {
-            "vectors": [
-                [encode_array(v.indices), encode_array(v.values), v.dim]
-                for v in batch.vectors
-            ],
+            "vectors": [encode_vector(v) for v in batch.vectors],
             "labels": list(batch.labels),
         }
 
     @staticmethod
     def _decode_batch(payload: dict) -> _Batch:
-        from repro.checkpoint.codec import decode_array
-
         return _Batch(
-            vectors=[
-                HashedVector(decode_array(indices), decode_array(values), dim)
-                for indices, values, dim in payload["vectors"]
-            ],
+            vectors=[decode_vector(v) for v in payload["vectors"]],
             labels=list(payload["labels"]),
         )
 

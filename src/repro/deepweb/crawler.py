@@ -27,23 +27,18 @@ class DeepWebSBCrawler(SBCrawler):
         super().__init__(config, name=name or "SB-DEEPWEB")
         self.max_submissions_per_form = max_submissions_per_form
 
-    def _process_forms(self, state, parsed) -> None:
+    def _process_forms(self, kernel, parsed) -> None:
         for form in getattr(parsed, "forms", []):
             submissions = form.submission_urls()[: self.max_submissions_per_form]
             for url in submissions:
-                if url in state.seen:
+                if url in kernel.seen or not kernel.admit(url):
                     continue
-                if not state.env.in_site(url):
-                    continue
-                if not state.robots.allowed(url):
-                    state.seen.add(url)
-                    continue
-                state.seen.add(url)
+                kernel.seen.add(url)
                 # Submissions resolve to result *pages*: queue as HTML
                 # under the form's own action group.
-                action_id = state.actions.assign(_FORM_TAG_PATH)
-                state.bandit.ensure_arm(action_id)
-                state.frontier.add(url, action_id)
+                action_id = self._actions.assign(_FORM_TAG_PATH)
+                self._bandit.ensure_arm(action_id)
+                self._frontier.add(url, action_id)
 
 
 def deep_web_sb_classifier(

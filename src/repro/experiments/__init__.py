@@ -11,7 +11,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     CRAWLER_ORDER,
     ResultCache,
-    crawler_factory,
     default_cache,
 )
 from repro.experiments.table1 import compute_table1
@@ -32,7 +31,6 @@ __all__ = [
     "ExperimentConfig",
     "CRAWLER_ORDER",
     "ResultCache",
-    "crawler_factory",
     "default_cache",
     "compute_table1",
     "compute_table2",

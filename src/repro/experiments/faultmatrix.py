@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_table
-from repro.experiments.runner import ResultCache, crawler_factory
+from repro.baselines import make_crawler
+from repro.experiments.runner import ResultCache
 from repro.http.client import RetryPolicy
 from repro.http.environment import CrawlEnvironment
 from repro.http.faults import FaultPlan, FaultSpec
@@ -110,7 +111,7 @@ def compute_fault_matrix(
             fault_plan=fault_plan,
             retry_policy=RetryPolicy(seed=seed),
         )
-        result = crawler_factory(crawler, seed=seed).crawl(env)
+        result = make_crawler(crawler, seed=seed).crawl(env)
         total = env.total_targets() or 1
         recall_pct.append(100.0 * result.n_targets / total)
         requests.append(float(result.n_requests))

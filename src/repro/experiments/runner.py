@@ -9,21 +9,12 @@ methodology reuses one stored crawl database across analyses.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
-from repro.baselines import (
-    BFSCrawler,
-    DFSCrawler,
-    FocusedCrawler,
-    OmniscientCrawler,
-    RandomCrawler,
-    TPOffCrawler,
-    TresCrawler,
-)
+from repro.baselines import make_crawler
 from repro.core.base import Crawler, CrawlResult
-from repro.core.crawler import SBConfig, SBCrawler
+from repro.core.crawler import SBConfig
 from repro.http.environment import CrawlEnvironment
 from repro.obs.sinks import JsonlSink
 from repro.webgraph.sites import PAPER_SITES, load_paper_site
@@ -38,31 +29,6 @@ CRAWLER_ORDER: tuple[str, ...] = (
     "DFS",
     "RANDOM",
 )
-
-
-def crawler_factory(name: str, seed: int = 1,
-                    sb_config: SBConfig | None = None) -> Crawler:
-    """Instantiate a crawler by its table name."""
-    base = sb_config or SBConfig()
-    if name == "SB-ORACLE":
-        return SBCrawler(replace(base, use_oracle=True, seed=seed))
-    if name == "SB-CLASSIFIER":
-        return SBCrawler(replace(base, use_oracle=False, seed=seed))
-    if name == "FOCUSED":
-        return FocusedCrawler(seed=seed)
-    if name == "TP-OFF":
-        return TPOffCrawler(bootstrap_pages=300, seed=seed)
-    if name == "BFS":
-        return BFSCrawler()
-    if name == "DFS":
-        return DFSCrawler()
-    if name == "RANDOM":
-        return RandomCrawler(seed=seed)
-    if name == "OMNISCIENT":
-        return OmniscientCrawler()
-    if name == "TRES":
-        return TresCrawler(seed=seed)
-    raise ValueError(f"unknown crawler: {name!r}")
 
 
 class ResultCache:
@@ -108,7 +74,7 @@ class ResultCache:
         key = (site, crawler_name, seed, config_key, budget)
         cached = self._results.get(key)
         if cached is None:
-            crawler = crawler_factory(crawler_name, seed=seed, sb_config=sb_config)
+            crawler = make_crawler(crawler_name, seed=seed, sb_config=sb_config)
             env = self.env(site)
             if self.trace_dir is None:
                 cached = crawler.crawl(env, budget=budget)

@@ -37,6 +37,21 @@ class HashedVector:
         return HashedVector(self.indices, self.values * factor, self.dim)
 
 
+def encode_vector(vector: HashedVector) -> list:
+    """Canonical-JSON-safe form of a vector (checkpoint payloads)."""
+    from repro.checkpoint.codec import encode_array
+
+    return [encode_array(vector.indices), encode_array(vector.values), vector.dim]
+
+
+def decode_vector(state: list) -> HashedVector:
+    """Inverse of :func:`encode_vector`, bit for bit."""
+    from repro.checkpoint.codec import decode_array
+
+    indices, values, dim = state
+    return HashedVector(decode_array(indices), decode_array(values), dim)
+
+
 def char_ngrams(text: str, n: int = 2) -> list[str]:
     """Character n-grams of ``text`` (e.g. ``"abc"`` → ``["ab", "bc"]``)."""
     if n <= 0:

@@ -115,8 +115,8 @@ class ClassifierBatchTrained(CrawlEvent):
 class TargetFound(CrawlEvent):
     """A target file was retrieved and counted.
 
-    Emitted by ``SBCrawler._crawl_next_page`` when a GET response's
-    MIME type confirms a target.  ``ordinal`` matches the
+    Emitted by the crawl kernel (``CrawlKernel.fetch``), for every
+    crawler, when a GET response's MIME type confirms a target.  ``ordinal`` matches the
     :class:`FetchEvent` of the confirming request.
     """
 

@@ -88,11 +88,11 @@ def test_tpoff_groups_formed(small_env):
 
 def test_tres_finds_targets_with_oracle(small_env):
     result = TresCrawler(n_pretraining_pages=50, seed=0).crawl(
-        small_env, max_steps=80
+        small_env, budget=80
     )
     # TRES visits target links immediately thanks to the oracle.
     assert result.n_targets > 0
-    assert result.info["steps"] <= 80
+    assert result.n_requests <= 80
 
 
 def test_tres_full_crawl_small_site(small_env):

@@ -11,9 +11,11 @@ import json
 
 import pytest
 
+from repro.baselines import CRAWLER_NAMES, TPOffCrawler, make_crawler
 from repro.campaign import CampaignSpec, SerialBackend, run_campaign
 from repro.campaign.workers import ShardTask, run_shard
 from repro.checkpoint import (
+    CheckpointError,
     CheckpointStore,
     CrawlCheckpointer,
     CrawlInterrupted,
@@ -118,23 +120,55 @@ def test_resume_does_not_duplicate_periodic_checkpoints(tmp_path):
     assert len(store.read_all()) > 0 and n_before > 0
 
 
-@pytest.mark.parametrize("crawler_name", ["BFS", "RANDOM"])
+@pytest.mark.parametrize("crawler_name", CRAWLER_NAMES)
 def test_baseline_crawl_interrupt_resume(crawler_name, tmp_path):
-    from repro.baselines import BFSCrawler, RandomCrawler
-
+    """Every registry crawler resumes byte-identically (the kernel
+    snapshots the shared crawl state, each policy its own)."""
     def run(checkpoint=None):
-        crawler = (
-            BFSCrawler() if crawler_name == "BFS" else RandomCrawler(seed=3)
-        )
+        crawler = make_crawler(crawler_name, seed=3)
         return crawler.crawl(_sb_env(), budget=BUDGET, checkpoint=checkpoint)
 
     reference = _fingerprint(run())
     store = CheckpointStore(tmp_path)
     with pytest.raises(CrawlInterrupted):
         run(CrawlCheckpointer(store=store, every=6, interrupt_at=25))
+    assert store.read_latest().payload["crawler"] == crawler_name
     resumed = CrawlCheckpointer(store=store, every=6)
     resumed.arm_resume(store.read_latest())
     assert _fingerprint(run(resumed)) == reference
+
+
+@pytest.mark.parametrize("k", [5, 30])
+def test_tpoff_resume_across_its_phase_transition(k, tmp_path):
+    """TP-OFF's bootstrap queue and exploitation heap both survive a
+    checkpoint: interrupt before and after the phase change."""
+    def run(checkpoint=None):
+        return TPOffCrawler(bootstrap_pages=15, seed=3).crawl(
+            _sb_env(), budget=BUDGET, checkpoint=checkpoint
+        )
+
+    reference = _fingerprint(run())
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(CrawlInterrupted):
+        run(CrawlCheckpointer(store=store, every=4, interrupt_at=k))
+    exploiting = store.read_latest().payload["components"]["frontier"]["exploiting"]
+    assert exploiting is (k > 15)
+    resumed = CrawlCheckpointer(store=store, every=4)
+    resumed.arm_resume(store.read_latest())
+    assert _fingerprint(run(resumed)) == reference
+
+
+def test_resume_rejects_another_crawlers_checkpoint(tmp_path):
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(CrawlInterrupted):
+        make_crawler("BFS").crawl(
+            _sb_env(), budget=BUDGET,
+            checkpoint=CrawlCheckpointer(store=store, interrupt_at=3),
+        )
+    resumed = CrawlCheckpointer(store=store)
+    resumed.arm_resume(store.read_latest())
+    with pytest.raises(CheckpointError):
+        make_crawler("DFS").crawl(_sb_env(), budget=BUDGET, checkpoint=resumed)
 
 
 class CountdownFlag:
@@ -226,29 +260,6 @@ def test_checkpoint_params_do_not_change_the_report_digest(tmp_path):
         checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=15,
     )
     assert checkpointed.to_json() == plain.to_json()
-
-
-def test_crawler_without_checkpoint_support_still_resumes_shard(tmp_path):
-    """FOCUSED has no frontier snapshot: an interrupted shard restarts
-    the in-flight site from scratch but keeps completed sites — and the
-    final outcome still matches the uninterrupted run."""
-    def task(resume=False):
-        return ShardTask(
-            shard_id=0, sites=("be", "cl"), crawler="FOCUSED", seed=5,
-            scale=SCALE, budget=BUDGET,
-            checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=10,
-            resume=resume,
-        )
-
-    reference = run_shard(
-        ShardTask(shard_id=0, sites=("be", "cl"), crawler="FOCUSED",
-                  seed=5, scale=SCALE, budget=BUDGET)
-    )
-    interrupted = run_shard(task(), shutdown=CountdownFlag(60))
-    assert interrupted.status == "interrupted"
-    resumed = run_shard(task(resume=True))
-    assert resumed.status == "completed"
-    assert resumed.sites == reference.sites
 
 
 def test_trace_truncation_rejects_bad_inputs(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.baselines import CRAWLER_NAMES, make_crawler
 from repro.experiments.config import ExperimentConfig, scaled_early_stopping
 from repro.experiments.figures import (
     compute_figure4,
@@ -14,7 +15,6 @@ from repro.experiments.report import ascii_curve, fmt_cell, render_table
 from repro.experiments.runner import (
     CRAWLER_ORDER,
     ResultCache,
-    crawler_factory,
     default_cache,
 )
 from repro.experiments.table1 import compute_table1
@@ -36,10 +36,11 @@ def cache():
 
 
 def test_crawler_factory_all_names():
-    for name in CRAWLER_ORDER + ("OMNISCIENT", "TRES"):
-        assert crawler_factory(name, seed=1).name == name
+    assert set(CRAWLER_ORDER) < set(CRAWLER_NAMES)
+    for name in CRAWLER_NAMES:
+        assert make_crawler(name, seed=1).name == name
     with pytest.raises(ValueError):
-        crawler_factory("NOPE")
+        make_crawler("NOPE")
 
 
 def test_result_cache_memoises(cache):
