@@ -10,6 +10,13 @@ incremental:
 2. *Online phase*: labels come for free from every HTTP GET the crawler
    issues anyway; each full batch triggers another ``partial_fit``.
 
+Scale adaptation (EXPERIMENTS.md deviation #2): on the paper's
+million-page sites the model's warm-up is a negligible share of the
+crawl; on scaled-down sites it is not.  So until ``WARM_UP_LABELS``
+labels have been trained, each fit also replays every earlier label;
+after that the window is dropped for good and each ``partial_fit`` sees
+only its ``b`` fresh labels, as in Algorithm 2.
+
 The classifier deliberately knows only two classes, "HTML" and
 "Target": misclassifying a dead URL costs one wasted request, whereas
 classifying a live URL as "Neither" would silently amputate the crawl
@@ -43,6 +50,9 @@ from repro.webgraph.mime import is_target_mime
 from repro.webgraph.model import PageKind, WebsiteGraph
 
 _FEATURE_DIM = 1 << 14
+#: labels trained with replay of all earlier labels; later fits see only
+#: their fresh batch
+WARM_UP_LABELS = 400
 
 
 class UrlClass(Enum):
@@ -94,7 +104,6 @@ class OnlineUrlClassifier:
         model: str = "LR",
         feature_set: str = "URL_ONLY",
         dim: int = _FEATURE_DIM,
-        replay_buffer: int = 400,
         seed: int = 0,
         observer: Observer | None = None,
     ) -> None:
@@ -108,12 +117,8 @@ class OnlineUrlClassifier:
         self.initial_training_phase = True
         self._batch = _Batch()
         self.n_batches_trained = 0
-        # Scale adaptation: on the paper's million-page sites the model's
-        # warm-up is a negligible fraction of the crawl; on scaled-down
-        # sites it is not, so each training step replays a bounded window
-        # of past labels to reach the same asymptotic accuracy early.
-        # replay_buffer=0 restores the paper-pure incremental behaviour.
-        self.replay_capacity = replay_buffer
+        # Warm-up window (deviation #2): every label trained so far, kept
+        # only while the model is still warming up, then emptied for good.
         self._replay = _Batch()
         self._class_seen = [False, False]
         # Prequential (test-then-train) evaluation: every labelled URL is
@@ -170,15 +175,13 @@ class OnlineUrlClassifier:
             vectors = self._batch.vectors + self._replay.vectors
             labels = self._batch.labels + self._replay.labels
             self.model.partial_fit(vectors, labels)
-            if self.replay_capacity > 0:
+            self.n_batches_trained += 1
+            if self.n_batches_trained * self.batch_size < WARM_UP_LABELS:
                 self._replay.vectors.extend(self._batch.vectors)
                 self._replay.labels.extend(self._batch.labels)
-                overflow = len(self._replay) - self.replay_capacity
-                if overflow > 0:
-                    del self._replay.vectors[:overflow]
-                    del self._replay.labels[:overflow]
+            else:
+                self._replay.clear()
             self._batch.clear()
-            self.n_batches_trained += 1
             # Leave the HEAD-labelled phase only once the model has seen
             # both classes: a one-class training set cannot classify, and
             # on target-dense sites the first batch is often all-HTML.

@@ -15,7 +15,7 @@ from repro.http.faults import FaultPlan, FaultyServer
 from repro.http.messages import Response
 from repro.http.server import SimulatedServer
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.webgraph.model import WebsiteGraph, same_site
+from repro.webgraph.model import WebsiteGraph, host_in_site, registrable_host
 
 
 class CrawlEnvironment:
@@ -41,6 +41,7 @@ class CrawlEnvironment:
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.graph = graph
+        self._root_host = registrable_host(graph.root_url)
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         base_server = SimulatedServer(graph)
@@ -122,7 +123,7 @@ class CrawlEnvironment:
 
     def in_site(self, url: str) -> bool:
         """Website-boundary test relative to this site's root (Sec. 2.2)."""
-        return same_site(self.graph.root_url, url)
+        return host_in_site(self._root_host, url)
 
     # -- ground truth (for oracles and evaluation only) ---------------------
 

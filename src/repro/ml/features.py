@@ -61,24 +61,27 @@ def char_ngrams(text: str, n: int = 2) -> list[str]:
     return [text[i : i + n] for i in range(len(text) - n + 1)]
 
 
-def _hash_token(token: str, seed: int) -> int:
-    # crc32 is fast, deterministic across processes, and good enough for
-    # feature hashing.
-    return zlib.crc32(f"{seed}:{token}".encode("utf-8"))
-
-
 def hashed_bow(
     text: str, n: int = 2, dim: int = DEFAULT_DIM, seed: int = 0
 ) -> HashedVector:
-    """Hash the character n-grams of ``text`` into a sparse count vector."""
-    counts: dict[int, float] = {}
+    """Hash the character n-grams of ``text`` into a sparse count vector.
+
+    An n-gram's index is ``crc32(f"{seed}:{token}") % dim``: crc32 is
+    fast, deterministic across processes, and good enough for feature
+    hashing.  The CRC of the ``"{seed}:"`` prefix is computed once and
+    continued per n-gram, which gives the same value.
+    """
+    crc32 = zlib.crc32
+    prefix = crc32(f"{seed}:".encode("utf-8"))
+    counts: dict[int, int] = {}
     for token in char_ngrams(text, n):
-        index = _hash_token(token, seed) % dim
-        counts[index] = counts.get(index, 0.0) + 1.0
+        index = crc32(token.encode("utf-8"), prefix) % dim
+        counts[index] = counts.get(index, 0) + 1
     if not counts:
         return HashedVector(np.empty(0, dtype=np.int64), np.empty(0), dim)
-    indices = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
+    keys = sorted(counts)
+    indices = np.array(keys, dtype=np.int64)
+    values = np.array([counts[k] for k in keys], dtype=np.float64)
     return HashedVector(indices, values, dim)
 
 

@@ -145,7 +145,13 @@ def same_site(root_url: str, url: str) -> bool:
     ``url`` belongs to the site of ``root_url`` iff its hostname (modulo a
     ``www.`` prefix) equals the root hostname or is a subdomain of it.
     """
-    root_host = registrable_host(root_url)
+    return host_in_site(registrable_host(root_url), url)
+
+
+def host_in_site(root_host: str, url: str) -> bool:
+    """:func:`same_site` with the root already resolved to
+    ``registrable_host(root_url)``, for callers that test many URLs
+    against one root."""
     host = registrable_host(url)
     if not root_host or not host:
         return False

@@ -74,6 +74,27 @@ def test_sb_crawl_interrupt_resume_is_byte_identical(k, tmp_path):
     assert _fingerprint(result) == reference
 
 
+def test_sb_resume_past_classifier_warm_up_is_byte_identical(tmp_path):
+    """Interrupted after the classifier's 40th fit, when its replay
+    window has been dropped: the resumed crawl still matches."""
+    def run(checkpoint=None):
+        env = CrawlEnvironment(load_paper_site(SITE, scale=0.2))
+        return sb_classifier(SBConfig(seed=3)).crawl(
+            env, budget=600, checkpoint=checkpoint
+        )
+
+    reference = _fingerprint(run())
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(CrawlInterrupted):
+        run(CrawlCheckpointer(store=store, every=50, interrupt_at=190))
+    classifier = store.read_latest().payload["components"]["classifier"]
+    assert classifier["n_batches_trained"] >= 40
+    assert classifier["replay"] == {"vectors": [], "labels": []}
+    resumed = CrawlCheckpointer(store=store, every=50)
+    resumed.arm_resume(store.read_latest())
+    assert _fingerprint(run(resumed)) == reference
+
+
 def test_double_interrupt_then_resume(tmp_path):
     """Two kills at different depths, then a final resume: still
     byte-identical — restart-after-restart must not drift."""

@@ -157,9 +157,9 @@ def test_campaign_smoke_job_enforces_backend_equivalence():
 def test_resume_equivalence_job_enforces_kill_and_resume_gate():
     """The resume-equivalence job must (a) record an uninterrupted
     reference through BOTH backends, (b) run a checkpointed campaign and
-    SIGTERM it, (c) resume with --resume and compare byte-for-byte
-    against the reference, and (d) upload the checkpoint dir only on
-    failure (docs/checkpoint.md)."""
+    SIGTERM it once a checkpoint exists, (c) resume with --resume and
+    compare byte-for-byte against the reference, and (d) upload the
+    checkpoint dir only on failure (docs/checkpoint.md)."""
     doc = _load()
     steps = doc["jobs"]["resume-equivalence"]["steps"]
     commands = "\n".join(s.get("run", "") for s in steps)
@@ -170,9 +170,15 @@ def test_resume_equivalence_job_enforces_kill_and_resume_gate():
     assert "kill -TERM" in commands
     assert "--resume" in commands
     assert "resumed.json" in commands
-    # the interrupted run's exit 1 (partial report) must be tolerated
+    # the signal waits for the first per-site checkpoint, and a campaign
+    # that finished before it (exit 0) fails the step: resuming a
+    # completed campaign would make the gate vacuous
     kill_step = next(s for s in steps if "kill -TERM" in s.get("run", ""))
-    assert "|| true" in kill_step["run"]
+    assert "sleep 4" not in kill_step["run"]
+    assert "site-*/ckpt-*/manifest.json" in kill_step["run"]
+    assert 'wait "$CAMPAIGN_PID" || status=$?' in kill_step["run"]
+    assert '[ "$status" -eq 0 ]' in kill_step["run"]
+    assert "exit 1" in kill_step["run"]
     uploads = [s for s in steps
                if "upload-artifact" in str(s.get("uses", ""))]
     assert len(uploads) == 1

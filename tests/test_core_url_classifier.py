@@ -6,6 +6,7 @@ from repro.core.url_classifier import (
     LinkContext,
     OnlineUrlClassifier,
     OracleUrlClassifier,
+    WARM_UP_LABELS,
     UrlClass,
 )
 from repro.webgraph.model import PageKind
@@ -81,16 +82,43 @@ def test_url_cont_uses_context():
     assert classifier.classify("https://s.example/p999", context_html) is UrlClass.HTML
 
 
-def test_replay_buffer_bounded():
-    classifier = OnlineUrlClassifier(batch_size=10, replay_buffer=25)
-    _feed(classifier, 100, 100)
-    assert len(classifier._replay) <= 25
+def _fit_sizes(classifier):
+    """Record how many samples each ``partial_fit`` trains on."""
+    sizes = []
+    fit = classifier.model.partial_fit
+
+    def recording(vectors, labels):
+        sizes.append(len(vectors))
+        return fit(vectors, labels)
+
+    classifier.model.partial_fit = recording
+    return sizes
 
 
-def test_replay_disabled_is_pure_incremental():
-    classifier = OnlineUrlClassifier(batch_size=10, replay_buffer=0)
-    _feed(classifier, 30, 30)
-    assert len(classifier._replay) == 0
+@pytest.mark.parametrize("model", ["LR", "SVM", "NB", "PA"])
+def test_warm_up_replays_then_fits_see_only_fresh_batch(model):
+    """Fit k <= 40 trains on all 10*k labels so far; every later fit
+    trains on its 10 fresh labels only (Algorithm 2)."""
+    classifier = OnlineUrlClassifier(batch_size=10, model=model, seed=0)
+    warm_up_fits = WARM_UP_LABELS // 10
+    sizes = _fit_sizes(classifier)
+    _feed(classifier, 300, 300)
+    assert classifier.n_batches_trained == len(sizes) == 60
+    assert sizes[:warm_up_fits] == [10 * k for k in range(1, warm_up_fits + 1)]
+    assert sizes[warm_up_fits:] == [10] * (60 - warm_up_fits)
+
+
+def test_replay_empty_from_the_last_warm_up_fit_on():
+    classifier = OnlineUrlClassifier(batch_size=10, seed=0)
+    _feed(classifier, WARM_UP_LABELS // 2 - 5, WARM_UP_LABELS // 2 - 5)
+    assert len(classifier._replay) == WARM_UP_LABELS - 10
+    assert len(classifier.snapshot_state()["replay"]["labels"]) == WARM_UP_LABELS - 10
+    _feed(classifier, 5, 5)
+    assert classifier.n_batches_trained == WARM_UP_LABELS // 10
+    state = classifier.snapshot_state()
+    assert state["replay"] == {"vectors": [], "labels": []}
+    _feed(classifier, 50, 50)
+    assert classifier.snapshot_state()["replay"] == {"vectors": [], "labels": []}
 
 
 def test_oracle_classifier(small_site):

@@ -12,6 +12,10 @@ onto the one crawl kernel, on
 A cell may differ from the recording only where ``KNOWN_DELTAS`` says
 so, and each listed cell must still differ, so the list stays exact.
 
+Those crawls all end before the URL classifier's 40th fit, where its
+warm-up replay window is dropped.  The ``past_warm_up`` cells pin three
+longer SB-CLASSIFIER crawls that run well past it.
+
 Print the current digests (same format) with::
 
     PYTHONPATH=src python tests/test_crawl_golden.py
@@ -33,6 +37,7 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "golden_crawl_digests.json").read_text()
 )
 SETTINGS = GOLDEN["settings"]
+PAST_WARM_UP = GOLDEN["past_warm_up"]
 SITES = tuple(sorted(PAPER_SITES))
 FAULTED = ("SB-ORACLE", "SB-CLASSIFIER", "FOCUSED", "BFS", "DFS", "RANDOM")
 COMPONENTS = ("trace", "targets", "dead_letters")
@@ -115,6 +120,19 @@ def test_faulted_crawls_match_golden_digests(clean_envs, name):
     assert not problems, problems
 
 
+def _past_warm_up_crawl(cell: str) -> list[str]:
+    name, site, seed = cell.split("/")
+    settings = PAST_WARM_UP["settings"]
+    env = CrawlEnvironment(load_paper_site(site, scale=settings["scale"]))
+    crawler = make_crawler(name, seed=int(seed))
+    return digest(crawler.crawl(env, budget=settings["budget"]))
+
+
+@pytest.mark.parametrize("cell", sorted(PAST_WARM_UP["cells"]))
+def test_crawls_past_classifier_warm_up_match_golden_digests(cell):
+    assert _past_warm_up_crawl(cell) == PAST_WARM_UP["cells"][cell]
+
+
 def test_sb_crawls_have_no_known_deltas():
     assert not [key for key in KNOWN_DELTAS if key[1].startswith("SB-")]
 
@@ -126,5 +144,7 @@ if __name__ == "__main__":
                   for name in CRAWLER_NAMES for site in SITES},
         "faults": {f"{name}/{site}": _crawl(name, _faulty_env(graphs[site]))
                    for name in FAULTED for site in SITES},
+        "past_warm_up": {cell: _past_warm_up_crawl(cell)
+                         for cell in sorted(PAST_WARM_UP["cells"])},
     }
     print(json.dumps(current, indent=1, sort_keys=True))

@@ -1,5 +1,7 @@
 """Tests for hashed n-gram features."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,35 @@ def test_indices_sorted_and_in_range():
     assert list(vector.indices) == sorted(set(vector.indices))
     assert vector.indices.min() >= 0
     assert vector.indices.max() < 128
+
+
+def _reference_bow(text, n, dim, seed):
+    """The hashing formula itself, one full crc32 per n-gram."""
+    counts = {}
+    for token in char_ngrams(text, n):
+        index = zlib.crc32(f"{seed}:{token}".encode("utf-8")) % dim
+        counts[index] = counts.get(index, 0.0) + 1.0
+    keys = sorted(counts)
+    return keys, [counts[k] for k in keys]
+
+
+@given(
+    st.text(max_size=60),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 97, 1 << 14]),
+    st.integers(min_value=0, max_value=9),
+)
+@settings(max_examples=200)
+def test_hashed_bow_matches_full_crc_per_ngram(text, n, dim, seed):
+    """Continuing the CRC of the seed prefix hashes every n-gram exactly
+    as crc32(f"{seed}:{token}"), on any unicode text."""
+    vector = hashed_bow(text, n=n, dim=dim, seed=seed)
+    indices, values = _reference_bow(text, n, dim, seed)
+    assert vector.indices.dtype == np.int64
+    assert vector.values.dtype == np.float64
+    assert vector.indices.tolist() == indices
+    assert vector.values.tolist() == values
+    assert vector.dim == dim
 
 
 def test_merge_vectors_sums_counts():

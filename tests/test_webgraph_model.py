@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.http.client import OffsiteRequestError
+from repro.http.environment import CrawlEnvironment
 from repro.webgraph.model import (
     Link,
     Page,
@@ -50,6 +52,44 @@ def test_same_site_paper_examples():
 def test_www_prefix_is_transparent():
     assert same_site("https://www.site.org/", "https://site.org/page")
     assert same_site("https://site.org/", "https://www.site.org/page")
+
+
+_BOUNDARY_URLS = [
+    "https://a.example/x",
+    "https://www.a.example/x",
+    "https://WWW.A.Example/x",
+    "https://cdn.a.example/x",
+    "https://www.cdn.a.example/x",
+    "https://a.example:8443/x",
+    "https://www.a.example:80/x",
+    "https://b.example/x",
+    "https://a.example.evil.org/x",
+    "https://xa.example/x",
+    "https://example/x",
+    "/relative/path",
+    "mailto:someone",
+    "",
+]
+
+
+@pytest.mark.parametrize(
+    "root",
+    ["https://www.a.example/", "https://A.EXAMPLE:8080/", "https://cdn.a.example/",
+     "file:///no/host"],
+)
+def test_environment_in_site_equals_same_site(root):
+    """The environment and the client resolve the root host once; their
+    answers must be the per-call same_site rule's for every kind of URL."""
+    env = CrawlEnvironment(WebsiteGraph(root, name="t"))
+    client = env.new_client()
+    for url in _BOUNDARY_URLS:
+        expected = same_site(root, url)
+        assert env.in_site(url) == expected, url
+        if expected:
+            client._check_boundary(url)
+        else:
+            with pytest.raises(OffsiteRequestError):
+                client._check_boundary(url)
 
 
 def test_subdomain_direction_matters():
