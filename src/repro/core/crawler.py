@@ -177,8 +177,8 @@ class SBCrawler(Crawler):
 
     def on_response(self, kernel: CrawlKernel, url: str, ctx, kind: UrlClass,
                     parsed) -> None:
-        if kind is not UrlClass.NEITHER:
-            self._classifier.add_labeled(url, kind)
+        # NEITHER trains nothing but frees the URL's discovery-time vector
+        self._classifier.add_labeled(url, kind)
 
     def on_link(self, kernel: CrawlKernel, link, source: str, parsed) -> bool:
         label = self._classify_link(

@@ -10,6 +10,10 @@ incremental:
 2. *Online phase*: labels come for free from every HTTP GET the crawler
    issues anyway; each full batch triggers another ``partial_fit``.
 
+The model trains on the vector it predicted with: :meth:`classify` keeps
+each link's vector until the GET labels it, so a link is featurised once
+and, with URL_CONT, trained on its link context as well.
+
 Scale adaptation (EXPERIMENTS.md deviation #2): on the paper's
 million-page sites the model's warm-up is a negligible share of the
 crawl; on scaled-down sites it is not.  So until ``WARM_UP_LABELS``
@@ -120,6 +124,9 @@ class OnlineUrlClassifier:
         # Warm-up window (deviation #2): every label trained so far, kept
         # only while the model is still warming up, then emptied for good.
         self._replay = _Batch()
+        # URL -> the vector ``classify`` built for it, until a label pops
+        # it: the model trains on the vector it predicted with.
+        self._pending: dict[str, HashedVector] = {}
         self._class_seen = [False, False]
         # Prequential (test-then-train) evaluation: every labelled URL is
         # first predicted with the current model, then learned from — the
@@ -155,10 +162,16 @@ class OnlineUrlClassifier:
         During crawling these pairs come for free from GET responses
         (and from the HEAD requests of the initial phase).  "Neither"
         URLs are dropped — the model is trained on two classes only.
+
+        A URL that went through :meth:`classify` is trained on the vector
+        built there, link context included; any other URL (the root,
+        redirect targets, HEAD-phase labels) is featurised here.
         """
+        features = self._pending.pop(url, None)
         if label is UrlClass.NEITHER:
             return
-        features = self._features(url, context)
+        if features is None:
+            features = self._features(url, context)
         y = 1 if label is UrlClass.TARGET else 0
         if self.is_trained:
             correct = self.model.predict(features) == y
@@ -216,8 +229,13 @@ class OnlineUrlClassifier:
     # -- inference -------------------------------------------------------------
 
     def classify(self, url: str, context: LinkContext | None = None) -> UrlClass:
-        """Predict HTML vs Target from the URL (plus context if enabled)."""
-        prediction = self.model.predict(self._features(url, context))
+        """Predict HTML vs Target from the URL (plus context if enabled).
+
+        The vector is kept until :meth:`add_labeled` labels ``url``.
+        """
+        features = self._features(url, context)
+        self._pending[url] = features
+        prediction = self.model.predict(features)
         return UrlClass.TARGET if prediction == 1 else UrlClass.HTML
 
     # -- checkpointing (repro.checkpoint) --------------------------------
@@ -237,7 +255,7 @@ class OnlineUrlClassifier:
         )
 
     def snapshot_state(self) -> dict:
-        return {
+        state = {
             "model": self.model.snapshot_state(),
             "initial_training_phase": self.initial_training_phase,
             "n_batches_trained": self.n_batches_trained,
@@ -250,8 +268,27 @@ class OnlineUrlClassifier:
                 "window": list(self._prequential_window),
             },
         }
+        # A URL_ONLY vector is a function of the URL alone, so a resumed
+        # crawl rebuilds it; a URL_CONT vector needs the lost link context.
+        if self.feature_set == "URL_CONT":
+            state["pending"] = {
+                url: encode_vector(vector) for url, vector in self._pending.items()
+            }
+        return state
 
     def restore_state(self, state: dict) -> None:
+        from repro.checkpoint.store import CheckpointError
+
+        if self.feature_set == "URL_CONT":
+            if "pending" not in state:
+                raise CheckpointError(
+                    "URL_CONT classifier state has no pending link vectors"
+                )
+            self._pending = {
+                url: decode_vector(vector) for url, vector in state["pending"].items()
+            }
+        else:
+            self._pending = {}
         self.model.restore_state(state["model"])
         self.initial_training_phase = state["initial_training_phase"]
         self.n_batches_trained = state["n_batches_trained"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -69,20 +70,31 @@ def hashed_bow(
     An n-gram's index is ``crc32(f"{seed}:{token}") % dim``: crc32 is
     fast, deterministic across processes, and good enough for feature
     hashing.  The CRC of the ``"{seed}:"`` prefix is computed once and
-    continued per n-gram, which gives the same value.
+    continued per n-gram, which gives the same value.  ASCII text (every
+    URL) is encoded once and its n-grams are CRC'd as byte slices: one
+    byte per character, so the slices are the n-grams' UTF-8 encodings.
     """
     crc32 = zlib.crc32
     prefix = crc32(f"{seed}:".encode("utf-8"))
-    counts: dict[int, int] = {}
-    for token in char_ngrams(text, n):
-        index = crc32(token.encode("utf-8"), prefix) % dim
-        counts[index] = counts.get(index, 0) + 1
-    if not counts:
-        return HashedVector(np.empty(0, dtype=np.int64), np.empty(0), dim)
-    keys = sorted(counts)
-    indices = np.array(keys, dtype=np.int64)
-    values = np.array([counts[k] for k in keys], dtype=np.float64)
-    return HashedVector(indices, values, dim)
+    if len(text) >= n and text.isascii():
+        data = text.encode("ascii")
+        tokens = [data[i : i + n] for i in range(len(data) - n + 1)]
+    else:
+        tokens = [token.encode("utf-8") for token in char_ngrams(text, n)]
+    hashes = sorted([h % dim for h in map(crc32, tokens, repeat(prefix))])
+    indices: list[int] = []
+    counts: list[float] = []
+    last = -1
+    for index in hashes:
+        if index == last:
+            counts[-1] += 1.0
+        else:
+            indices.append(index)
+            counts.append(1.0)
+            last = index
+    return HashedVector(
+        np.array(indices, dtype=np.int64), np.array(counts, dtype=np.float64), dim
+    )
 
 
 def merge_vectors(vectors: list[HashedVector]) -> HashedVector:

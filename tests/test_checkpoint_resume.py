@@ -95,6 +95,42 @@ def test_sb_resume_past_classifier_warm_up_is_byte_identical(tmp_path):
     assert _fingerprint(run(resumed)) == reference
 
 
+def _url_cont_fingerprint(checkpoint=None):
+    """The crawl fingerprint plus the classifier's final state, whose
+    weights show what every label was trained on."""
+    crawler = sb_classifier(SBConfig(seed=3, feature_set="URL_CONT"))
+    result = crawler.crawl(_sb_env(), budget=BUDGET, checkpoint=checkpoint)
+    return _fingerprint(result), canonical_json(crawler._classifier.snapshot_state())
+
+
+@pytest.mark.parametrize("k", [20, 30])
+def test_url_cont_resume_with_pending_link_vectors_is_byte_identical(k, tmp_path):
+    """URL_CONT trains each GET label on the vector predicted at
+    discovery, link context included; a resume after the HEAD phase
+    must restore those vectors, not rebuild them URL-only, and a payload
+    without them is refused."""
+    reference = _url_cont_fingerprint()
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(CrawlInterrupted):
+        _url_cont_fingerprint(
+            CrawlCheckpointer(store=store, every=7, interrupt_at=k)
+        )
+    classifier = store.read_latest().payload["components"]["classifier"]
+    assert not classifier["initial_training_phase"]
+    assert classifier["pending"], "links classified but not yet fetched"
+
+    stripped = store.read_latest()
+    del stripped.payload["components"]["classifier"]["pending"]
+    refused = CrawlCheckpointer(store=store, every=7)
+    refused.arm_resume(stripped)
+    with pytest.raises(CheckpointError, match="pending"):
+        _url_cont_fingerprint(refused)
+
+    resumed = CrawlCheckpointer(store=store, every=7)
+    resumed.arm_resume(store.read_latest())
+    assert _url_cont_fingerprint(resumed) == reference
+
+
 def test_double_interrupt_then_resume(tmp_path):
     """Two kills at different depths, then a final resume: still
     byte-identical — restart-after-restart must not drift."""

@@ -192,19 +192,28 @@ def test_action_space_roundtrip(paths, theta):
         max_size=25,
     ),
     model=st.sampled_from(["LR", "NB"]),
+    feature_set=st.sampled_from(["URL_ONLY", "URL_CONT"]),
+    classified=st.sets(st.integers(0, 40), max_size=10),
 )
-def test_url_classifier_roundtrip(labels, model):
-    from repro.core.url_classifier import OnlineUrlClassifier, UrlClass
+def test_url_classifier_roundtrip(labels, model, feature_set, classified):
+    from repro.core.url_classifier import LinkContext, OnlineUrlClassifier, UrlClass
 
     def make():
-        return OnlineUrlClassifier(batch_size=5, model=model, seed=1)
+        return OnlineUrlClassifier(
+            batch_size=5, model=model, feature_set=feature_set, seed=1
+        )
 
     clf = make()
+    for url_index in sorted(classified):  # pending discovery-time vectors
+        clf.classify(f"https://s.example/doc{url_index}.html",
+                     LinkContext(anchor=f"link {url_index}", dom_path="ul li a"))
     for url_index, label in labels:
         clf.add_labeled(
             f"https://s.example/doc{url_index}.html", UrlClass(label)
         )
     restored = _roundtrip(clf, make())
+    if feature_set == "URL_CONT":
+        assert restored._pending.keys() == clf._pending.keys()
     probe = "https://s.example/record999.pdf"
     assert restored.classify(probe) == clf.classify(probe)
 

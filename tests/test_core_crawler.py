@@ -162,3 +162,69 @@ def test_unknown_bandit_policy_rejected(small_env):
 
     with pytest.raises(ValueError):
         sb_oracle(SBConfig(bandit_policy="bogus")).crawl(small_env)
+
+
+def _recording_classifier(monkeypatch):
+    """Record the URLs the online classifier predicts and labels, and
+    the hashed_bow calls it makes."""
+    import repro.core.url_classifier as url_classifier
+
+    log = {"classified": set(), "labelled": set(), "targets_or_html": 0,
+           "hashed_bow": 0}
+    classify = url_classifier.OnlineUrlClassifier.classify
+    add_labeled = url_classifier.OnlineUrlClassifier.add_labeled
+    hashed_bow = url_classifier.hashed_bow
+
+    def recording_classify(self, url, context=None):
+        log["classified"].add(url)
+        return classify(self, url, context)
+
+    def recording_add_labeled(self, url, label, context=None):
+        log["labelled"].add(url)
+        log["targets_or_html"] += label is not url_classifier.UrlClass.NEITHER
+        return add_labeled(self, url, label, context)
+
+    def counting_hashed_bow(*args, **kwargs):
+        log["hashed_bow"] += 1
+        return hashed_bow(*args, **kwargs)
+
+    monkeypatch.setattr(url_classifier.OnlineUrlClassifier, "classify",
+                        recording_classify)
+    monkeypatch.setattr(url_classifier.OnlineUrlClassifier, "add_labeled",
+                        recording_add_labeled)
+    monkeypatch.setattr(url_classifier, "hashed_bow", counting_hashed_bow)
+    return log
+
+
+def test_pending_vectors_only_for_classified_never_labelled_urls(monkeypatch):
+    """After a whole-site crawl the classifier keeps a discovery-time
+    vector only for URLs it predicted but no response labelled
+    (redirect sources, unfetched links): no labelled URL stays."""
+    from repro.http.environment import CrawlEnvironment
+    from repro.webgraph.sites import load_paper_site
+
+    log = _recording_classifier(monkeypatch)
+    crawler = sb_classifier(SBConfig(seed=1))
+    crawler.crawl(CrawlEnvironment(load_paper_site("ju", scale=0.1)))
+    pending = set(crawler._classifier._pending)
+    assert log["classified"] and log["labelled"]
+    assert pending == log["classified"] - log["labelled"]
+    assert pending, "the site has redirect sources: some vectors stay"
+
+
+@pytest.mark.parametrize("feature_set", ["URL_ONLY", "URL_CONT"])
+def test_each_link_featurised_once(monkeypatch, feature_set):
+    """Guard against double featurisation: discovery builds a link's
+    vector, its GET label reuses it.  The extra calls are for links
+    classified but never labelled HTML or Target (error pages, redirect
+    sources); two per label would mean every link is featurised twice."""
+    from repro.http.environment import CrawlEnvironment
+    from repro.webgraph.sites import load_paper_site
+
+    log = _recording_classifier(monkeypatch)
+    crawler = sb_classifier(SBConfig(seed=1, feature_set=feature_set))
+    crawler.crawl(CrawlEnvironment(load_paper_site("be", scale=0.1)))
+    # URL_CONT builds four bags per vector (URL, anchor, DOM path, text)
+    bags = 1 if feature_set == "URL_ONLY" else 4
+    assert log["targets_or_html"] > 100
+    assert log["hashed_bow"] / log["targets_or_html"] <= 1.1 * bags

@@ -1,5 +1,6 @@
 """Tests for the online URL classifier (Algorithm 2)."""
 
+import numpy as np
 import pytest
 
 from repro.core.url_classifier import (
@@ -163,3 +164,60 @@ def test_prequential_window_bounded():
     classifier = OnlineUrlClassifier(batch_size=10, seed=0)
     _feed(classifier, 600, 600)
     assert len(classifier._prequential_window) <= 500
+
+
+# -- the discovery-time vector (Algorithm 2 trains on what it predicted) ----
+
+
+def test_label_trains_on_the_vector_classify_built():
+    """URL_CONT: classify(url, ctx) then a context-free add_labeled(url)
+    trains on the URL+context vector, not a URL-only rebuild."""
+    classifier = OnlineUrlClassifier(batch_size=10, feature_set="URL_CONT", seed=0)
+    url = "https://s.example/files/report"
+    context = LinkContext(anchor="Download CSV", dom_path="ul.files li a",
+                          surrounding_text="quarterly data")
+    classifier.classify(url, context)
+    classifier.add_labeled(url, UrlClass.TARGET)
+    trained = classifier._batch.vectors[-1]
+    with_context = classifier._features(url, context)
+    url_only = classifier._features(url, None)
+    assert np.array_equal(trained.indices, with_context.indices)
+    assert np.array_equal(trained.values, with_context.values)
+    assert trained.nnz > url_only.nnz
+    assert url not in classifier._pending
+
+
+def test_unclassified_url_is_featurised_at_label_time():
+    classifier = OnlineUrlClassifier(batch_size=10, feature_set="URL_CONT", seed=0)
+    context = LinkContext(anchor="Download CSV")
+    classifier.add_labeled("https://s.example/f.csv", UrlClass.TARGET, context)
+    trained = classifier._batch.vectors[-1]
+    expected = classifier._features("https://s.example/f.csv", context)
+    assert np.array_equal(trained.indices, expected.indices)
+    assert classifier._pending == {}
+
+
+def test_pending_vector_dropped_by_every_label():
+    classifier = OnlineUrlClassifier(batch_size=10, seed=0)
+    for i, label in enumerate(UrlClass):
+        classifier.classify(f"https://s.example/p{i}")
+        classifier.add_labeled(f"https://s.example/p{i}", label)
+    classifier.classify("https://s.example/unlabelled")
+    assert list(classifier._pending) == ["https://s.example/unlabelled"]
+    assert len(classifier._batch) == 2  # NEITHER trains nothing
+
+
+def test_pending_vectors_checkpointed_only_for_url_cont():
+    from repro.checkpoint import CheckpointError
+
+    url_only = OnlineUrlClassifier(batch_size=10, seed=0)
+    url_only.classify("https://s.example/a")
+    assert "pending" not in url_only.snapshot_state()
+
+    url_cont = OnlineUrlClassifier(batch_size=10, feature_set="URL_CONT", seed=0)
+    url_cont.classify("https://s.example/a", LinkContext(anchor="Read more"))
+    state = url_cont.snapshot_state()
+    assert list(state["pending"]) == ["https://s.example/a"]
+    del state["pending"]
+    with pytest.raises(CheckpointError):
+        OnlineUrlClassifier(batch_size=10, feature_set="URL_CONT").restore_state(state)

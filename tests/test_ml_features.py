@@ -81,6 +81,30 @@ def test_hashed_bow_matches_full_crc_per_ngram(text, n, dim, seed):
     assert vector.dim == dim
 
 
+@given(
+    st.one_of(
+        st.just(""),
+        st.characters(max_codepoint=127),
+        st.text(alphabet=st.characters(max_codepoint=127), max_size=120),
+    ),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([1, 97, 1 << 14]),
+    st.integers(min_value=0, max_value=9),
+)
+@settings(max_examples=300)
+def test_hashed_bow_ascii_path_matches_char_ngrams_path(text, n, dim, seed):
+    """ASCII text is hashed from byte slices of one encoding; the result
+    equals the per-token char_ngrams formula bit for bit, including
+    texts shorter than n (which take the char_ngrams path)."""
+    assert text.isascii()
+    vector = hashed_bow(text, n=n, dim=dim, seed=seed)
+    indices, values = _reference_bow(text, n, dim, seed)
+    assert vector.indices.dtype == np.int64
+    assert vector.values.dtype == np.float64
+    assert vector.indices.tolist() == indices
+    assert vector.values.tolist() == values
+
+
 def test_merge_vectors_sums_counts():
     a = hashed_bow("ab", dim=64)
     merged = merge_vectors([a, a])
