@@ -37,7 +37,13 @@ def canonical_json(payload: object) -> str:
 
 def payload_digest(payload: object) -> str:
     """SHA-256 over the canonical JSON form."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return text_digest(canonical_json(payload))
+
+
+def text_digest(canonical_text: str) -> str:
+    """:func:`payload_digest` of the payload whose canonical JSON form is
+    ``canonical_text``, for a writer that already built it."""
+    return hashlib.sha256(canonical_text.encode("utf-8")).hexdigest()
 
 
 def encode_array(array: np.ndarray) -> dict:

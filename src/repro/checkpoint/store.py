@@ -21,7 +21,12 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.checkpoint.codec import SCHEMA_VERSION, canonical_json, payload_digest
+from repro.checkpoint.codec import (
+    SCHEMA_VERSION,
+    canonical_json,
+    payload_digest,
+    text_digest,
+)
 
 #: keys every manifest.json carries (doc-gated in docs/checkpoint.md)
 MANIFEST_FIELDS = ("schema_version", "seq", "step", "digest")
@@ -81,13 +86,15 @@ class CheckpointStore:
         seq = self._next_seq()
         target = self.directory / f"{_CKPT_PREFIX}{seq:08d}"
         target.mkdir(exist_ok=True)  # repro: noqa[CONC005] per-shard private checkpoint dir
-        text = canonical_json(payload) + "\n"
-        _write_atomic(target / "state.json", text)
+        # Encode once: the digest hashes the text state.json holds,
+        # without its trailing newline.
+        text = canonical_json(payload)
+        _write_atomic(target / "state.json", text + "\n")
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "seq": seq,
             "step": step,
-            "digest": payload_digest(payload),
+            "digest": text_digest(text),
         }
         # manifest last: its presence certifies a complete state file
         _write_atomic(target / "manifest.json", canonical_json(manifest) + "\n")

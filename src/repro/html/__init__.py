@@ -7,7 +7,7 @@ exercised for real rather than read off graph internals.
 """
 
 from repro.html.dom import DomElement, parse_segment, render_segment
-from repro.html.parse import ParsedPage, extract_links, parse_page
+from repro.html.parse import ParsedPage, parse_page
 from repro.html.render import render_page
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "parse_segment",
     "render_segment",
     "ParsedPage",
-    "extract_links",
     "parse_page",
     "render_page",
 ]

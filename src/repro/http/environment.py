@@ -4,10 +4,14 @@ Bundles the website graph, its simulated server and a shared
 parse cache.  Because HTML parsing is deterministic per URL, caching
 parsed pages across crawler runs is behaviour-preserving and mirrors
 the paper's local-replication methodology (every crawler re-reads the
-same stored pages, Sec. 4.4).
+same stored pages, Sec. 4.4).  Absolute hrefs, which recur across a
+site's pages, are resolved once each (:meth:`CrawlEnvironment.resolve_hrefs`).
 """
 
 from __future__ import annotations
+
+import re
+from urllib.parse import urlsplit
 
 from repro.html.parse import ParsedPage, parse_page
 from repro.http.client import HttpClient, RetryPolicy
@@ -16,6 +20,12 @@ from repro.http.messages import Response
 from repro.http.server import SimulatedServer
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.webgraph.model import WebsiteGraph, host_in_site, registrable_host
+
+#: An absolute http(s) href with a non-empty authority.  ``urljoin``
+#: resolves it from the base URL's scheme alone.  The href must not hold
+#: tab, CR or LF: ``urlsplit`` deletes those first, so ``http://\t``
+#: resolves against the base.
+_BASE_FREE_HREF = re.compile(r"https?://[^/?#\t\n\r][^\t\n\r]*\Z")
 
 
 class CrawlEnvironment:
@@ -55,6 +65,8 @@ class CrawlEnvironment:
         #: instruments *any* crawler's fetch stream, baselines included.
         self.observer = observer if observer is not None else NULL_OBSERVER
         self._parse_cache: dict[str, ParsedPage] = {}
+        #: base scheme -> base-free href -> resolved URL (see resolve_hrefs)
+        self._resolved: dict[str, dict[str, str]] = {}
 
     # -- clients ---------------------------------------------------------
 
@@ -91,30 +103,51 @@ class CrawlEnvironment:
         """
         cached = self._parse_cache.get(response.url)
         if cached is None:
-            from repro.webgraph.canonical import resolve_link
             from repro.webgraph.model import Form, Link
 
             raw = parse_page(response.body)
+            urls = self.resolve_hrefs(response.url, [link.url for link in raw.links])
+            actions = self.resolve_hrefs(
+                response.url, [form.action for form in raw.forms]
+            )
             resolved = [
-                Link(
-                    url=resolve_link(response.url, link.url),
-                    tag_path=link.tag_path,
-                    anchor=link.anchor,
-                )
-                for link in raw.links
+                Link(url=url, tag_path=link.tag_path, anchor=link.anchor)
+                for url, link in zip(urls, raw.links)
             ]
             forms = [
-                Form(
-                    action=resolve_link(response.url, form.action),
-                    fields=form.fields,
-                )
-                for form in raw.forms
+                Form(action=action, fields=form.fields)
+                for action, form in zip(actions, raw.forms)
             ]
             cached = ParsedPage(
                 links=resolved, text=raw.text, title=raw.title, forms=forms
             )
             self._parse_cache[response.url] = cached
         return cached
+
+    def resolve_hrefs(self, base_url: str, hrefs: list[str]) -> list[str]:
+        """``resolve_link(base_url, href)`` for each href, in order.
+
+        Most hrefs on a site are absolute and recur on many pages.  Those
+        the base-free pattern matches resolve once per base scheme, the
+        only part of the base they depend on (``http://a/b;`` keeps its
+        ``;`` under an https base but not under an http one).  Every
+        other href resolves afresh, and an href that raises is never
+        memoised.
+        """
+        if not hrefs:
+            return []
+        from repro.webgraph.canonical import resolve_link
+
+        memo = self._resolved.setdefault(urlsplit(base_url).scheme, {})
+        urls = []
+        for href in hrefs:
+            url = memo.get(href)
+            if url is None:
+                url = resolve_link(base_url, href)
+                if _BASE_FREE_HREF.match(href) is not None:
+                    memo[href] = url
+            urls.append(url)
+        return urls
 
     def invalidate(self, url: str) -> None:
         """Drop the cached parse of ``url`` (used by revisit crawling

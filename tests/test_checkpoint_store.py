@@ -54,6 +54,30 @@ def test_manifest_carries_the_documented_fields(tmp_path):
     assert manifest["digest"] == payload_digest(_payload(5))
 
 
+def test_digest_of_the_written_text_is_the_payload_digest(tmp_path):
+    """The writer hashes the state text it built instead of encoding
+    the payload again; the manifest must not notice."""
+    import numpy as np
+
+    from repro.checkpoint import encode_array
+
+    payload = {
+        "kind": "sb-crawl",
+        "text": "é \u2028 \"quoted\" </script>",
+        "floats": [0.1, 1e-300, -2.5],
+        "nested": {"b": [1, {"a": None}], "a": True},
+        "array": encode_array(np.arange(6, dtype=np.float64).reshape(2, 3)),
+    }
+    store = CheckpointStore(tmp_path)
+    path = store.write_checkpoint(payload, step=7)
+    manifest = json.loads((path / "manifest.json").read_text())
+    assert manifest["digest"] == payload_digest(payload)
+    assert (path / "state.json").read_text() == canonical_json(payload) + "\n"
+    loaded = store.read_latest()
+    assert loaded.payload == payload
+    assert loaded.corrupt_skipped == ()
+
+
 def test_empty_store_reads_none(tmp_path):
     assert CheckpointStore(tmp_path).read_latest() is None
     assert CheckpointStore(tmp_path / "never-created").read_latest() is None

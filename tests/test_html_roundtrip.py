@@ -1,12 +1,15 @@
 """Render → parse round-trip tests: the crawler must recover exactly the
 links (URL, tag path, anchor) that the generator declared."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.html.parse import parse_page
 from repro.html.render import render_page
 from repro.webgraph.model import Link, Page, PageKind
+from repro.webgraph.sites import PAPER_SITES, load_paper_site
+from tests.html_oracle import oracle_parse
 
 # -- hypothesis strategies ----------------------------------------------
 
@@ -69,21 +72,30 @@ def test_round_trip_recovers_links(links):
     assert want == got
 
 
-def test_extract_links_matches_parse_page(small_site):
-    """The ``extract_links`` convenience wrapper returns exactly the
-    link list of a full ``parse_page`` — nothing dropped, same order."""
-    from repro.html import extract_links
-
-    for page in list(small_site.html_pages())[:10]:
-        html_text = render_page(page)
-        assert extract_links(html_text) == parse_page(html_text).links
-
-
 def test_round_trip_on_generated_pages(small_site):
     from repro.webgraph.canonical import resolve_link
 
     for page in list(small_site.html_pages())[:40]:
         parsed = parse_page(render_page(page))
+        want = {(l.url, l.tag_path, l.anchor) for l in page.links}
+        got = {
+            (resolve_link(page.url, l.url), l.tag_path, l.anchor)
+            for l in parsed.links
+        }
+        assert want == got, page.url
+
+
+@pytest.mark.parametrize("site", sorted(PAPER_SITES))
+def test_round_trip_on_paper_sites(site):
+    """Every rendered page of every paper-site profile (small scale):
+    the declared links come back, and the parse is the one the
+    ``html.parser``-based extractor gave."""
+    from repro.webgraph.canonical import resolve_link
+
+    for page in load_paper_site(site, scale=0.03).html_pages():
+        html_text = render_page(page)
+        parsed = parse_page(html_text)
+        assert parsed == oracle_parse(html_text), page.url
         want = {(l.url, l.tag_path, l.anchor) for l in page.links}
         got = {
             (resolve_link(page.url, l.url), l.tag_path, l.anchor)
