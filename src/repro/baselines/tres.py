@@ -145,7 +145,7 @@ class TresCrawler(Crawler):
     def follow_redirect(self, kernel, location: str, features) -> bool:
         # Redirect targets join the frontier instead of being fetched.
         if location not in kernel.seen:
-            kernel.seen.add(location)
+            kernel.seen[location] = None
             self._frontier[location] = _text_features("redirect")
         return False
 

@@ -3,9 +3,11 @@
 The package has three small layers:
 
 * :mod:`repro.checkpoint.codec` — canonical-JSON payloads, bit-exact
-  array and RNG-state round-trips, SHA-256 digests;
+  (dense or sparse) array and RNG-state round-trips, SHA-256 digests,
+  and the :class:`Log` marker for lists that only grow;
 * :mod:`repro.checkpoint.store` — atomic on-disk checkpoints with a
-  manifest, torn-write detection, previous-checkpoint fallback;
+  manifest, a journal for the Logs, torn-write detection,
+  previous-checkpoint fallback;
 * :mod:`repro.checkpoint.controller` — the per-iteration tick that
   saves periodically and converts SIGINT/SIGTERM into a final
   checkpoint plus :class:`CrawlInterrupted`.
@@ -20,6 +22,7 @@ byte-identical to an uninterrupted run — is enforced by
 
 from repro.checkpoint.codec import (
     SCHEMA_VERSION,
+    Log,
     canonical_json,
     decode_array,
     decode_rng_state,
@@ -52,6 +55,7 @@ __all__ = [
     "CrawlCheckpointer",
     "CrawlInterrupted",
     "LoadedCheckpoint",
+    "Log",
     "ShutdownFlag",
     "canonical_json",
     "decode_array",

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.trace import CrawlTrace
+from repro.checkpoint.codec import Log
 from repro.core.url_classifier import UrlClass
 from repro.http.environment import CrawlEnvironment
 from repro.http.robots import RobotsPolicy, fetch_robots_policy
@@ -83,9 +84,11 @@ class CrawlKernel:
         )
         self.client = env.new_client(policy.name, observer=self.observer)
         self.robots = RobotsPolicy()
-        self.visited: set[str] = set()
-        self.seen: set[str] = set()
-        self.targets: set[str] = set()
+        # Insertion-ordered sets (values are None): a checkpoint journals
+        # them as lists that only grow (repro.checkpoint.Log).
+        self.visited: dict[str, None] = {}
+        self.seen: dict[str, None] = {}
+        self.targets: dict[str, None] = {}
         self.dead_letters: list[str] = []
         self.requeues: dict[str, int] = {}
         #: pages fetched so far (GETs that were not abandoned)
@@ -104,7 +107,7 @@ class CrawlKernel:
             if policy.respect_robots:
                 self.robots = fetch_robots_policy(self.client, self.env.root_url)
             for url in policy.seeds(self):
-                self.seen.add(url)
+                self.seen[url] = None
                 policy.push(self, url, None)
 
         stopped_early = False
@@ -129,8 +132,8 @@ class CrawlKernel:
             crawler=policy.name,
             site=self.env.graph.name,
             trace=trace,
-            visited=self.visited,
-            targets=self.targets,
+            visited=set(self.visited),
+            targets=set(self.targets),
             stopped_early=stopped_early,
             dead_letters=self.dead_letters,
             info={"ledger": self.client.ledger.snapshot(),
@@ -165,9 +168,9 @@ class CrawlKernel:
                 policy.push(self, url, ctx)
             else:
                 self.dead_letters.append(url)
-                self.visited.add(url)
+                self.visited[url] = None
             return 0
-        self.visited.add(url)
+        self.visited[url] = None
         self.t += 1
 
         if response.interrupted or response.is_error:
@@ -183,7 +186,7 @@ class CrawlKernel:
                 and self.admit(location)
                 and policy.follow_redirect(self, location, ctx)
             ):
-                self.seen.add(location)
+                self.seen[location] = None
                 return self.fetch(location, ctx, depth + 1)
             return 0
 
@@ -194,7 +197,7 @@ class CrawlKernel:
             if not self.env.is_target_mime(mime):
                 return 0
             policy.on_response(self, url, ctx, UrlClass.TARGET, None)
-            self.targets.add(url)
+            self.targets[url] = None
             if self.observer.enabled:
                 self.observer.on_event(
                     TargetFound(
@@ -212,7 +215,7 @@ class CrawlKernel:
         for link in parsed.links:
             if link.url in seen or not self.admit(link.url):
                 continue
-            seen.add(link.url)
+            seen[link.url] = None
             if policy.on_link(self, link, url, parsed):
                 reward += self.fetch(link.url, None, depth + 1)
         policy.after_page(self, url, ctx, parsed, reward)
@@ -226,7 +229,7 @@ class CrawlKernel:
         if not self.env.in_site(url):
             return False
         if is_blocklisted_extension(url) or not self.robots.allowed(url):
-            self.seen.add(url)
+            self.seen[url] = None
             return False
         return True
 
@@ -242,10 +245,10 @@ class CrawlKernel:
             "robots": self.robots.snapshot_state(),
             "crawl": {
                 "t": self.t,
-                "visited": sorted(self.visited),
-                "seen": sorted(self.seen),
-                "targets": sorted(self.targets),
-                "dead_letters": list(self.dead_letters),
+                "visited": Log(self.visited),
+                "seen": Log(self.seen),
+                "targets": Log(self.targets),
+                "dead_letters": Log(self.dead_letters),
                 "requeues": dict(self.requeues),
             },
         })
@@ -282,8 +285,8 @@ class CrawlKernel:
         self.robots.restore_state(parts["robots"])
         crawl = parts["crawl"]
         self.t = crawl["t"]
-        self.visited = set(crawl["visited"])
-        self.seen = set(crawl["seen"])
-        self.targets = set(crawl["targets"])
+        self.visited = dict.fromkeys(crawl["visited"])
+        self.seen = dict.fromkeys(crawl["seen"])
+        self.targets = dict.fromkeys(crawl["targets"])
         self.dead_letters = list(crawl["dead_letters"])
         self.requeues = dict(crawl["requeues"])

@@ -33,7 +33,7 @@ class DeepWebSBCrawler(SBCrawler):
             for url in submissions:
                 if url in kernel.seen or not kernel.admit(url):
                     continue
-                kernel.seen.add(url)
+                kernel.seen[url] = None
                 # Submissions resolve to result *pages*: queue as HTML
                 # under the form's own action group.
                 action_id = self._actions.assign(_FORM_TAG_PATH)

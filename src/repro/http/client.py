@@ -121,6 +121,10 @@ class HttpClient:
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.retry_policy = retry_policy
         self.retries_used = 0
+        #: ``trace.records`` as checkpoint rows, extended at each
+        #: snapshot with only the records added since the last one
+        self._trace_rows: list[list] = []
+        self._rows_of: list[CrawlRecord] | None = None
         self._retry_rng: random.Random | None = (
             derive_rng(retry_policy.seed, "retry-jitter", crawler_name)
             if retry_policy is not None
@@ -274,8 +278,20 @@ class HttpClient:
 
     # -- checkpointing (repro.checkpoint) --------------------------------
 
+    def _snapshot_rows(self) -> list[list]:
+        records = self.trace.records
+        rows = self._trace_rows
+        if self._rows_of is not records or len(rows) > len(records):
+            rows = self._trace_rows = []
+            self._rows_of = records
+        rows.extend(
+            [r.method, r.url, r.status, r.size, r.is_target]
+            for r in records[len(rows):]
+        )
+        return rows
+
     def snapshot_state(self) -> dict:
-        from repro.checkpoint.codec import encode_rng_state
+        from repro.checkpoint.codec import Log, encode_rng_state
 
         return {
             "ledger": self.ledger.snapshot_state(),
@@ -286,10 +302,7 @@ class HttpClient:
                 else None
             ),
             "trace": {
-                "records": [
-                    [r.method, r.url, r.status, r.size, r.is_target]
-                    for r in self.trace.records
-                ],
+                "records": Log(self._snapshot_rows()),
                 "stopped_early_at": self.trace.stopped_early_at,
             },
         }
@@ -307,6 +320,7 @@ class HttpClient:
                 )
             self._retry_rng.setstate(decode_rng_state(state["retry_rng"]))
         trace = state["trace"]
+        # a new records list: the next snapshot rebuilds its rows
         self.trace.records = [
             CrawlRecord(
                 method=method, url=url, status=status, size=size,

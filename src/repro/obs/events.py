@@ -14,7 +14,7 @@ site — is the contract table in docs/observability.md, enforced by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, ClassVar
 
 
@@ -32,8 +32,10 @@ class CrawlEvent:
     def to_dict(self) -> dict[str, Any]:
         """Flat JSON-serialisable form: ``{"e": kind, **fields}``."""
         payload: dict[str, Any] = {"e": self.kind}
-        for f in fields(self):
-            payload[f.name] = getattr(self, f.name)
+        # The field names in declaration order, as the dataclass built
+        # them once per class (events have only plain positional fields).
+        for name in self.__match_args__:
+            payload[name] = getattr(self, name)
         return payload
 
 

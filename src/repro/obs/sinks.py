@@ -24,6 +24,9 @@ FORMAT_VERSION = 1
 #: Header ``stream`` tag distinguishing event traces from request traces.
 STREAM_TAG = "repro.obs"
 
+#: ``json.dumps(..., separators=(",", ":"))`` without a new encoder per call
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class MemorySink:
     """Keeps every event in a list; the default sink for tests and
@@ -120,9 +123,7 @@ class JsonlSink:
                 f"JsonlSink({self.path}) is closed; events emitted after "
                 "close would be lost silently"
             )
-        self._handle.write(
-            json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
-        )
+        self._handle.write(_encode_compact(event.to_dict()) + "\n")
         self.n_events += 1
 
     def flush(self) -> None:

@@ -215,6 +215,63 @@ def test_tpoff_resume_across_its_phase_transition(k, tmp_path):
     assert _fingerprint(run(resumed)) == reference
 
 
+def test_resume_across_journal_restarts_is_byte_identical(tmp_path):
+    """Each resume opens a fresh store, as a new process does, so each
+    starts a new journal: interrupt, resume, save three more times,
+    interrupt again, resume again — still the uninterrupted crawl."""
+    reference = _sb_reference()
+
+    def run(checkpointer):
+        return sb_classifier(SBConfig(seed=3)).crawl(
+            _sb_env(), budget=BUDGET, checkpoint=checkpointer
+        )
+
+    with pytest.raises(CrawlInterrupted):
+        run(CrawlCheckpointer(store=CheckpointStore(tmp_path), every=5,
+                              interrupt_at=12))
+    assert sorted(p.name for p in tmp_path.glob("journal-*")) == [
+        "journal-00000001.jsonl"]
+
+    store = CheckpointStore(tmp_path)
+    second = CrawlCheckpointer(store=store, every=5, interrupt_at=28)
+    second.arm_resume(store.read_latest())
+    with pytest.raises(CrawlInterrupted):
+        run(second)
+    saved = [entry.step for entry in store.read_all()]
+    assert saved == [25, 28]                    # saves at 15, 20, 25, then 28
+    journals = sorted(p.name for p in tmp_path.glob("journal-*"))
+    assert len(journals) == 1 and journals != ["journal-00000001.jsonl"]
+    assert store.read_latest().payload == second.last_payload
+
+    store = CheckpointStore(tmp_path)
+    final = CrawlCheckpointer(store=store, every=5)
+    final.arm_resume(store.read_latest())
+    assert _fingerprint(run(final)) == reference
+
+
+class _CheckedStore(CheckpointStore):
+    """Reads every checkpoint back as soon as it is written."""
+
+    def write_checkpoint(self, payload, step=0):
+        path = super().write_checkpoint(payload, step)
+        assert self.read_latest().payload == payload
+        assert CheckpointStore(self.directory).read_latest().payload == payload
+        return path
+
+
+@pytest.mark.parametrize("crawler_name", CRAWLER_NAMES)
+def test_every_crawler_payload_reads_back_as_written(crawler_name, tmp_path):
+    store = _CheckedStore(tmp_path)
+    with pytest.raises(CrawlInterrupted):
+        make_crawler(crawler_name, seed=3).crawl(
+            _sb_env(), budget=BUDGET,
+            checkpoint=CrawlCheckpointer(store=store, every=4, interrupt_at=30),
+        )
+    crawl = store.read_latest().payload["components"]["crawl"]
+    assert len(crawl["visited"]) == len(set(crawl["visited"]))
+    assert set(crawl["targets"]) <= set(crawl["visited"]) <= set(crawl["seen"])
+
+
 def test_resume_rejects_another_crawlers_checkpoint(tmp_path):
     store = CheckpointStore(tmp_path)
     with pytest.raises(CrawlInterrupted):

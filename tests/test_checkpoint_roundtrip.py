@@ -352,3 +352,25 @@ def test_http_client_roundtrip():
     fresh.restore_state(json.loads(blob))
     assert canonical_json(fresh.snapshot_state()) == blob
     assert fresh.ledger.n_requests == client.ledger.n_requests
+
+
+def test_http_client_snapshot_extends_its_rows_and_restore_resets_them():
+    """The client keeps the trace rows it snapshotted and adds only new
+    records; restoring an older snapshot into the same client must not
+    leave the newer rows behind."""
+    from repro.checkpoint import Log
+    from repro.http.environment import CrawlEnvironment
+    from repro.webgraph.sites import load_paper_site
+
+    env = CrawlEnvironment(load_paper_site("be", scale=0.05))
+    client = env.new_client(crawler_name="probe")
+    client.get(env.graph.root_url)
+    early = client.snapshot_state()
+    early_blob = canonical_json(early)
+    for _ in range(3):
+        client.get(env.graph.root_url)
+    late = client.snapshot_state()["trace"]["records"]
+    assert isinstance(late, Log) and len(late) == 4
+    assert late[0] is early["trace"]["records"][0]     # rows are reused
+    client.restore_state(json.loads(early_blob))
+    assert canonical_json(client.snapshot_state()) == early_blob

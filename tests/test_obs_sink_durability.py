@@ -58,3 +58,35 @@ def test_flush_is_safe_before_and_after_close(tmp_path):
     sink.flush()
     sink.close()
     sink.flush()  # no-op, must not raise
+
+
+def test_every_event_kind_writes_the_same_bytes_as_json_dumps(tmp_path):
+    """The sink reuses one compact encoder and a per-class field tuple;
+    each line must stay what ``json.dumps`` over ``dataclasses.fields``
+    wrote, for every event kind and awkward string values."""
+    from dataclasses import fields
+
+    from repro.obs.events import EVENT_TYPES
+
+    samples = {"int": -7, "float": 0.1, "bool": True,
+               "str": 'é "q" \\ \t\u2028 </s>'}
+    events = [
+        cls(**{f.name: samples[f.type] for f in fields(cls)})
+        for cls in EVENT_TYPES.values()
+    ]
+    meta = {"site": "é", "seed": 3}
+    path = tmp_path / "trace.jsonl"
+    with JsonlSink(path, meta=meta) as sink:
+        for event in events:
+            sink.on_event(event)
+
+    def old_line(event):
+        payload = {"e": event.kind}
+        for f in fields(event):
+            payload[f.name] = getattr(event, f.name)
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+
+    header = {"format": 1, "stream": "repro.obs", **meta}
+    expected = json.dumps(header, separators=(",", ":")) + "\n"
+    expected += "".join(old_line(event) for event in events)
+    assert path.read_text(encoding="utf-8") == expected
