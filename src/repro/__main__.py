@@ -147,13 +147,6 @@ def _campaign_main(argv: list[str]) -> int:
         if args.sites is not None
         else tuple(sorted(PAPER_SITES))
     )
-    if args.trace_dir is not None:
-        from pathlib import Path
-
-        # Workers only open trace files (the directory must exist):
-        # creating it here keeps filesystem setup out of the
-        # shard-safe worker surface (docs/campaign.md).
-        Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
     shutdown = None
     if args.checkpoint is not None:
         from pathlib import Path
@@ -167,9 +160,6 @@ def _campaign_main(argv: list[str]) -> int:
             print(f"ERROR: checkpoint dir {checkpoint_dir} is not empty; "
                   "pass --resume to continue it or choose a fresh dir")
             return 2
-        # Same rationale as --trace-dir: directory setup happens in the
-        # CLI, outside the shard-safe worker surface.
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
         shutdown = ShutdownFlag()
         # Serial runs drain gracefully via the flag (the in-flight
         # crawl saves a final snapshot); the multiprocessing pool needs

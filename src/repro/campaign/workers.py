@@ -19,10 +19,10 @@ same :func:`run_shard` function serves both backends:
   child outlives the call.
 
 Because every crawl is a pure function of ``(site, crawler, seed,
-scale, budget)`` — the property the shard-safety certificate
-(bench_results/shard_safety.json) proves for all worker-reachable code
-— both backends produce identical outcome sets, which is what makes
-the merged campaign report byte-identical across backends.
+scale, budget)`` — checked at runtime by the serial-vs-multiprocessing
+digest gate over every crawler (``tests/test_campaign_engine.py``) —
+both backends produce identical outcome sets, which is what makes the
+merged campaign report byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -137,11 +137,8 @@ def _crawl_site(task: ShardTask, site: str, seed: int,
         )
         return crawler.crawl(env, budget=task.budget, checkpoint=checkpointer)
 
-    # The directory must already exist: creating it here would put
-    # filesystem io on the worker surface the shard-safety certificate
-    # keeps pure/reads-only, so the CLI (outside the worker-entry
-    # packages) creates it before dispatch.
     directory = Path(task.trace_dir)
+    directory.mkdir(parents=True, exist_ok=True)
     trace_path = directory / f"{site}-{task.crawler}-s{task.seed}.jsonl"
     resume_sink = None
     if checkpointer is not None and checkpointer.resume_payload is not None:

@@ -86,8 +86,8 @@ class _Journal:
 def _write_atomic(path: Path, data: bytes) -> None:
     """Publish ``data`` at ``path`` via temp file + ``os.replace``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)  # repro: noqa[CONC005] checkpoint store is the one sanctioned io surface; paths are per-shard private
-    os.replace(tmp, path)  # repro: noqa[CONC005] atomic publish of a per-shard private file
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def _split_logs(node: dict, path: _Path, logs: list) -> dict:
@@ -123,10 +123,10 @@ class CheckpointStore:
     def write_checkpoint(self, payload: dict, step: int = 0) -> Path:
         """Atomically publish ``payload`` as the next checkpoint and
         return its directory."""
-        self.directory.mkdir(parents=True, exist_ok=True)  # repro: noqa[CONC005] per-shard private checkpoint dir
+        self.directory.mkdir(parents=True, exist_ok=True)
         seq = self._next_seq()
         target = self.directory / f"{_CKPT_PREFIX}{seq:08d}"
-        target.mkdir(exist_ok=True)  # repro: noqa[CONC005] per-shard private checkpoint dir
+        target.mkdir(exist_ok=True)
         logs: list[tuple[_Path, Log]] = []
         state = _split_logs(payload, (), logs)
         manifest = {"schema_version": SCHEMA_VERSION, "seq": seq, "step": step}
@@ -168,7 +168,7 @@ class CheckpointStore:
             tails.append([list(path), start, log[start:]])
         line = canonical_json({"seq": seq, "tails": tails}).encode("utf-8") + b"\n"
         mode = "ab" if journal.size else "wb"
-        with journal.path.open(mode) as handle:  # repro: noqa[CONC005] checkpoint store is the one sanctioned io surface; paths are per-shard private
+        with journal.path.open(mode) as handle:
             handle.write(line)
             handle.flush()
         journal.size += len(line)
@@ -363,7 +363,7 @@ class CheckpointStore:
         entries = self._entries()
         removed = 0
         for _seq, path in entries[:-keep]:
-            shutil.rmtree(path)  # repro: noqa[CONC005] per-shard private checkpoint dir
+            shutil.rmtree(path)
             removed += 1
         referenced = set()
         if self._journal is not None:
@@ -377,5 +377,5 @@ class CheckpointStore:
         if self.directory.is_dir():
             for child in self.directory.iterdir():
                 if _JOURNAL_NAME.fullmatch(child.name) and child.name not in referenced:
-                    child.unlink()  # repro: noqa[CONC005] unreferenced journal in a per-shard private checkpoint dir
+                    child.unlink()
         return removed

@@ -24,16 +24,11 @@ pressure.  See ``docs/static_analysis.md`` for the rule catalogue.
 """
 
 from repro.lint.cache import CacheStats, LintCache
-from repro.lint.certificate import (build_certificate, certificate_digest,
-                                    render_certificate)
 from repro.lint.cfg import CFG, build_cfg
-from repro.lint.conc_rules import ConcRule, default_conc_rules
 from repro.lint.config import RuleConfig, load_pyproject_config
 from repro.lint.dataflow import (ForwardAnalysis, ReachingDefinitions,
                                  solve_forward)
 from repro.lint.df_rules import DataflowRule, default_df_rules
-from repro.lint.effects import (EffectAnalysis, ModuleEffects,
-                                collect_effects, propagate_effects)
 from repro.lint.engine import (Finding, LintRun, LintUsageError, Linter,
                                Rule, scan_noqa)
 from repro.lint.project import (ProjectModel, ProjectRule, build_project,
@@ -46,35 +41,26 @@ from repro.lint.symbols import ModuleSymbols, extract_symbols
 __all__ = [
     "CFG",
     "CacheStats",
-    "ConcRule",
     "DataflowRule",
-    "EffectAnalysis",
     "Finding",
     "ForwardAnalysis",
     "LintCache",
     "LintRun",
     "LintUsageError",
     "Linter",
-    "ModuleEffects",
     "ModuleSymbols",
     "ProjectModel",
     "ProjectRule",
     "ReachingDefinitions",
     "Rule",
     "RuleConfig",
-    "build_certificate",
     "build_cfg",
     "build_project",
-    "certificate_digest",
-    "collect_effects",
-    "default_conc_rules",
     "default_df_rules",
     "default_project_rules",
     "default_rules",
     "extract_symbols",
     "load_pyproject_config",
-    "propagate_effects",
-    "render_certificate",
     "render_json",
     "render_sarif",
     "render_stats",

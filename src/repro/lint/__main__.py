@@ -8,12 +8,11 @@ Exit codes follow the usual linter contract:
 
 ``--project`` enables the phase-2 whole-program pass (FLOW rules over
 the project symbol graph); it is implied when ``--select`` names a FLOW
-code or DF003 (whose report needs the call graph).  The phase-3
-dataflow pass (DF rules over per-function CFGs) runs by default and is
-turned off with ``--no-dataflow``.  ``--select``/``--disable`` accept
-bare family prefixes (``--select DF`` = every DF rule).  Results are
-served from the content-hash incremental cache
-(``.repro-lint-cache.json``) unless ``--no-cache`` is given.
+code.  The phase-3 dataflow pass (DF rules over per-function CFGs) runs
+by default and is turned off with ``--no-dataflow``.
+``--select``/``--disable`` accept bare family prefixes (``--select DF``
+= every DF rule).  Results are served from the content-hash incremental
+cache (``.repro-lint-cache.json``) unless ``--no-cache`` is given.
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.lint.certificate import (DEFAULT_CERTIFICATE_PATH,
-                                    build_certificate, render_certificate)
-from repro.lint.conc_rules import default_conc_rules
 from repro.lint.config import load_pyproject_config
 from repro.lint.df_rules import default_df_rules
 from repro.lint.engine import LintUsageError, Linter
@@ -83,8 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--project", action=argparse.BooleanOptionalAction, default=None,
         help="run the whole-program FLOW pass over the project symbol "
-             "graph (default: only when --select names a FLOW rule or "
-             "DF003)",
+             "graph (default: only when --select names a FLOW rule)",
     )
     parser.add_argument(
         "--dataflow", action=argparse.BooleanOptionalAction, default=True,
@@ -106,17 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--shard-safety", default=None, metavar="PACKAGE",
-        help="emit the shard-safety certificate for a dotted package "
-             "(e.g. repro.campaign); implies --project and writes the "
-             "JSON document to --cert-out",
-    )
-    parser.add_argument(
-        "--cert-out", default=DEFAULT_CERTIFICATE_PATH, metavar="PATH",
-        help="where --shard-safety writes the certificate "
-             f"(default: {DEFAULT_CERTIFICATE_PATH})",
     )
     return parser
 
@@ -157,16 +141,14 @@ def main(argv: list[str] | None = None) -> int:
     rules = default_rules()
     project_rules = default_project_rules()
     df_rules = default_df_rules()
-    conc_rules = default_conc_rules()
     if args.list_rules:
-        for rule in [*rules, *project_rules, *df_rules, *conc_rules]:
+        for rule in [*rules, *project_rules, *df_rules]:
             print(f"{rule.code}  {rule.name}: {rule.rationale}")
         return EXIT_CLEAN
 
     known = {rule.code for rule in rules}
     known.update(rule.code for rule in project_rules)
     known.update(rule.code for rule in df_rules)
-    known.update(rule.code for rule in conc_rules)
     selected = {c.strip().upper() for c in args.select.split(",") if c.strip()}
     disabled = {c.strip().upper() for c in args.disable.split(",") if c.strip()}
     selected = _expand_families(selected, known)
@@ -193,7 +175,6 @@ def main(argv: list[str] | None = None) -> int:
         project_rules = [rule for rule in project_rules
                          if rule.code in selected]
         df_rules = [rule for rule in df_rules if rule.code in selected]
-        conc_rules = [rule for rule in conc_rules if rule.code in selected]
         # An explicit --select wins over the pyproject disable list
         # (ruff semantics): lift the selected codes out of `disable` so
         # the Linter does not silently drop them again.
@@ -203,52 +184,24 @@ def main(argv: list[str] | None = None) -> int:
         project_rules = [rule for rule in project_rules
                          if rule.code not in disabled]
         df_rules = [rule for rule in df_rules if rule.code not in disabled]
-        conc_rules = [rule for rule in conc_rules
-                      if rule.code not in disabled]
     if not args.dataflow:
         df_rules = []  # --no-dataflow wins, even over an explicit select
 
     project = args.project
     if project is None:
-        # DF003 and the CONC family only materialise findings in the
-        # project phase (reachability needs the call graph), so
-        # selecting them implies --project, like selecting a FLOW rule.
-        project = (any(code.startswith("FLOW") for code in selected)
-                   or any(code.startswith("CONC") for code in selected)
-                   or "DF003" in selected)
-    if args.shard_safety is not None:
-        project = True  # the certificate is a whole-program artifact
-        if not conc_rules:
-            print("error: --shard-safety needs the CONC rules enabled",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        # FLOW findings only materialise in the project phase.
+        project = any(code.startswith("FLOW") for code in selected)
     cache_path = None if args.no_cache else args.cache
     reference_roots = _discover_reference_roots(args.paths) if project else ()
 
     try:
         linter = Linter(config=config, rules=rules,
-                        project_rules=project_rules, df_rules=df_rules,
-                        conc_rules=conc_rules)
+                        project_rules=project_rules, df_rules=df_rules)
         run = linter.run(args.paths, project=project, cache_path=cache_path,
                          reference_roots=reference_roots)
     except LintUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.shard_safety is not None:
-        certificate = build_certificate(run, args.shard_safety)
-        out_path = Path(args.cert_out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(render_certificate(certificate),
-                            encoding="utf-8")
-        summary = certificate["summary"]
-        print(
-            f"shard-safety[{args.shard_safety}]: "
-            f"{'SAFE' if summary['safe'] else 'UNSAFE'} — "
-            f"{summary['conc_findings']} CONC finding(s), "
-            f"{summary['worker_reachable']} worker-reachable function(s), "
-            f"digest {certificate['digest'][:12]} -> {out_path}"
-        )
 
     renderers = {"json": render_json, "sarif": render_sarif,
                  "human": render_text}

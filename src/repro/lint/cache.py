@@ -27,18 +27,18 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.lint.df_rules import MutationFact
-from repro.lint.effects import ModuleEffects
 from repro.lint.engine import Finding
 from repro.lint.symbols import ModuleSymbols
 
 #: Bumped when the on-disk cache layout itself changes.
 #: 2: per-file dataflow facts (``df_facts``) joined the entry layout.
 #: 3: per-file effect facts (``effect_facts``) joined the entry layout.
-CACHE_FORMAT = 3
+#: 4: both fact maps left again; ``symbols_only`` marks reference-corpus
+#:    entries.
+CACHE_FORMAT = 4
 
 
 def interpreter_tag() -> str:
@@ -65,12 +65,9 @@ class CachedFile:
     suppressed: list[Finding]
     symbols: ModuleSymbols | None
     noqa: dict[int, frozenset[str] | None]
-    #: DF rule code -> per-file dataflow facts (phase 3); today only
-    #: DF003's :class:`~repro.lint.df_rules.MutationFact` list.
-    df_facts: dict[str, list] = field(default_factory=dict)
-    #: Phase-4 effect facts (:class:`~repro.lint.effects.ModuleEffects`);
-    #: ``None`` for unparseable files.
-    effect_facts: ModuleEffects | None = None
+    #: A reference-corpus entry: symbols only, no rule ever ran on it,
+    #: so it must never serve a linted file.
+    symbols_only: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -82,12 +79,7 @@ class CachedFile:
                 str(line): (None if codes is None else sorted(codes))
                 for line, codes in self.noqa.items()
             },
-            "df_facts": {
-                code: [fact.to_dict() for fact in facts]
-                for code, facts in sorted(self.df_facts.items())
-            },
-            "effect_facts": (self.effect_facts.to_dict()
-                             if self.effect_facts is not None else None),
+            "symbols_only": self.symbols_only,
         }
 
     @classmethod
@@ -102,12 +94,7 @@ class CachedFile:
                 int(line): (None if codes is None else frozenset(codes))
                 for line, codes in data["noqa"].items()
             },
-            df_facts={
-                code: [MutationFact.from_dict(fact) for fact in facts]
-                for code, facts in data["df_facts"].items()
-            },
-            effect_facts=(ModuleEffects.from_dict(data["effect_facts"])
-                          if data.get("effect_facts") is not None else None),
+            symbols_only=data["symbols_only"],
         )
 
 
@@ -154,9 +141,16 @@ class LintCache:
             self.entries = {}
             self._dirty = True
 
-    def get(self, path: str, sha: str) -> CachedFile | None:
+    def get(self, path: str, sha: str,
+            symbols_only: bool = False) -> CachedFile | None:
+        """The entry for ``path`` at content ``sha``, or ``None``.
+
+        A symbols-only entry answers only a symbols-only request; a full
+        entry answers both.
+        """
         entry = self.entries.get(path)
-        if entry is not None and entry.sha == sha:
+        if (entry is not None and entry.sha == sha
+                and (symbols_only or not entry.symbols_only)):
             return entry
         return None
 

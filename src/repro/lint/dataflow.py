@@ -4,14 +4,11 @@ The solver (:func:`solve_forward`) runs a pluggable analysis to a
 fixpoint with a deterministic worklist.  An analysis supplies three
 things — the entry fact, a join, and a per-statement transfer — and the
 solver returns the fact *entering* and *leaving* every reachable block.
-Two instantiations ship here:
-
-* :class:`ReachingDefinitions` — which ``(name, line)`` assignments can
-  reach each point; the substrate for dead-store detection (DF004).
-* :class:`TaintAnalysis` — which names currently hold a value produced
-  by a configurable source expression, propagated through plain
-  aliasing assignments; the substrate for the unseeded-RNG rule
-  (DF001).
+One instantiation ships here:
+:class:`ReachingDefinitions` — which ``(name, line)`` assignments can
+reach each point; the substrate for dead-store detection (DF004).  The
+DF001/DF002 lattices live beside their rules in
+:mod:`repro.lint.df_rules`.
 
 Facts are immutable (``frozenset``) so the fixpoint check is plain
 equality and no analysis can accidentally share state across blocks.
@@ -224,7 +221,7 @@ _MISSING = _Missing()
 
 
 # ---------------------------------------------------------------------------
-# Instantiations
+# Instantiation
 # ---------------------------------------------------------------------------
 
 
@@ -243,39 +240,3 @@ class ReachingDefinitions(ForwardAnalysis):
         return frozenset(
             {d for d in fact if d[0] not in killed} | set(defs)
         )
-
-
-class TaintAnalysis(ForwardAnalysis):
-    """Name-level taint: facts are ``frozenset[(name, source_line)]``.
-
-    ``is_source(expr)`` decides whether an assigned expression
-    introduces taint; plain aliasing (``b = a``) propagates it; any
-    other rebinding clears it.  Subclass or pass ``source`` at
-    construction.
-    """
-
-    def __init__(self, is_source=None) -> None:
-        if is_source is not None:
-            self.is_source = is_source  # type: ignore[method-assign]
-
-    def is_source(self, expr: ast.AST) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def transfer(self, fact: frozenset, stmt: ast.AST) -> frozenset:
-        tainted = {name for name, _ in fact}
-        result = set(fact)
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
-                isinstance(stmt.targets[0], ast.Name):
-            target = stmt.targets[0].id
-            result = {d for d in result if d[0] != target}
-            if self.is_source(stmt.value):
-                result.add((target, stmt.value.lineno))
-            elif isinstance(stmt.value, ast.Name) and \
-                    stmt.value.id in tainted:
-                line = next(l for n, l in fact if n == stmt.value.id)
-                result.add((target, line))
-            return frozenset(result)
-        killed = {name for name, _ in stmt_defs(stmt)}
-        if killed:
-            result = {d for d in result if d[0] not in killed}
-        return frozenset(result)

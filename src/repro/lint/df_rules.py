@@ -3,12 +3,8 @@
 Each rule runs per function over the :mod:`repro.lint.cfg` graph via
 :meth:`DataflowRule.check_function`, reporting through the ordinary
 :class:`~repro.lint.engine.FileContext` so ``# repro: noqa[DF00x]``
-markers and FLOW004 stale-marker accounting apply unchanged.  DF003 is
-the exception: its per-file half (:meth:`DataflowRule.collect_module`)
-only *collects* mutation facts — cheap, serialisable, cached per file —
-and its whole-program half (:meth:`DataflowRule.check_project`) joins
-those facts with the FLOW symbol graph to decide which mutations are
-reachable from crawler/campaign entry points.
+markers and FLOW004 stale-marker accounting apply unchanged.  Every
+DF rule is intraprocedural, so its findings cache per file.
 
 The rules are deliberately lint-grade, not verifier-grade: names, not
 objects, are tracked; aliasing through containers and attributes counts
@@ -21,22 +17,13 @@ acceptable, false positives on idiomatic code are not.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import ClassVar
 
-from repro.lint.cfg import CFG, EXIT, build_cfg, function_defs
-from repro.lint.config import RuleConfig
+from repro.lint.cfg import CFG, EXIT
 from repro.lint.dataflow import (ForwardAnalysis, ReachingDefinitions,
                                  header_exprs, solve_forward, stmt_defs,
                                  stmt_uses)
-from repro.lint.engine import FileContext, Finding
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.project import ProjectModel
-
-#: Packages whose functions count as crawler/campaign entry points for
-#: DF003 reachability (the layers the worker-pool engine will run).
-ENTRY_PACKAGES = ("core", "campaign", "deepweb", "baselines")
+from repro.lint.engine import FileContext
 
 #: ``random.Random`` drawing methods — DF001 sinks when the receiver is
 #: a fixed-seed stream, and the consumption sites DET003 already guards.
@@ -57,18 +44,6 @@ RESOURCE_CONSTRUCTORS = frozenset({"open", "JsonlSink", "WarcWriter"})
 #: Method names that release a tracked resource.
 CLOSE_METHODS = frozenset({"close", "__exit__"})
 
-#: Container-mutating method names for DF003.
-MUTATOR_METHODS = frozenset({
-    "append", "extend", "add", "update", "pop", "popitem", "remove",
-    "discard", "clear", "insert", "setdefault", "sort",
-})
-
-#: Constructor names whose module-level result is mutable (DF003).
-MUTABLE_CONSTRUCTORS = frozenset({
-    "list", "dict", "set", "defaultdict", "Counter", "deque",
-    "OrderedDict",
-})
-
 #: Name components that mark a call as *handling* a retry error (DF005):
 #: charging the ledger, emitting an observability event, re-recording.
 HANDLED_TOKENS = ("record", "charge", "spend", "debit", "emit", "event",
@@ -88,12 +63,10 @@ def _dotted(node: ast.AST) -> str:
 
 
 class DataflowRule:
-    """Base class for DF rules; all three hooks default to no-ops.
+    """Base class for DF rules.
 
-    ``check_function`` runs once per function definition with its CFG;
-    ``collect_module`` runs once per file and returns serialisable facts
-    the incremental cache stores; ``check_project`` runs in the project
-    phase over the assembled model (facts + symbol graph).
+    ``check_function`` runs once per function definition with its CFG
+    and reports through ``ctx``; the default is a no-op.
     """
 
     code: ClassVar[str] = ""
@@ -103,13 +76,6 @@ class DataflowRule:
     def check_function(self, func: ast.AST, cfg: CFG,
                        ctx: FileContext) -> None:
         pass
-
-    def collect_module(self, tree: ast.AST, ctx: FileContext) -> list:
-        return []
-
-    def check_project(self, model: "ProjectModel",
-                      config: RuleConfig) -> list[Finding]:
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -330,238 +296,6 @@ class ResourceLeakRule(DataflowRule):
 
 
 # ---------------------------------------------------------------------------
-# DF003 — shared-mutable-state
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MutationFact:
-    """One mutation of a module-level mutable from inside a function."""
-
-    qualname: str   # function qualname within its module
-    target: str     # the module-level name being mutated
-    line: int
-    col: int
-    detail: str     # human-readable mutation kind, e.g. ".append()"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"qualname": self.qualname, "target": self.target,
-                "line": self.line, "col": self.col, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MutationFact":
-        return cls(qualname=data["qualname"], target=data["target"],
-                   line=data["line"], col=data["col"],
-                   detail=data["detail"])
-
-
-def _module_mutables(tree: ast.Module) -> set[str]:
-    mutables: set[str] = set()
-    for stmt in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None:
-            continue
-        mutable = isinstance(value, (ast.List, ast.Dict, ast.Set,
-                                     ast.ListComp, ast.DictComp,
-                                     ast.SetComp))
-        if not mutable and isinstance(value, ast.Call):
-            head = _dotted(value.func).rsplit(".", 1)[-1]
-            mutable = head in MUTABLE_CONSTRUCTORS
-        if not mutable:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and not (
-                    target.id.startswith("__") and target.id.endswith("__")):
-                mutables.add(target.id)
-    return mutables
-
-
-def _own_nodes(func: ast.AST):
-    """Nodes belonging to ``func`` itself, not to nested definitions
-    (those are visited as functions in their own right)."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-class _QualnameVisitor(ast.NodeVisitor):
-    """Collect (qualname, node) for every function definition."""
-
-    def __init__(self) -> None:
-        self.functions: list[tuple[str, ast.AST]] = []
-        self._scope: list[str] = []
-
-    def _handle(self, node: ast.AST) -> None:
-        qualname = ".".join([*self._scope, node.name])
-        self.functions.append((qualname, node))
-        self._scope.append(node.name)
-        self.generic_visit(node)
-        self._scope.pop()
-
-    visit_FunctionDef = _handle
-    visit_AsyncFunctionDef = _handle
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._scope.append(node.name)
-        self.generic_visit(node)
-        self._scope.pop()
-
-
-class SharedMutableStateRule(DataflowRule):
-    """DF003 — module-level mutable containers must not be mutated from
-    code reachable from crawler/campaign entry points.
-
-    A module-level ``list``/``dict``/``set`` mutated on the crawl path
-    is cross-run *and* cross-worker state: two campaigns in one process
-    see each other's entries, and the planned worker-pool engine turns
-    the same line into a data race.  The per-file half records mutation
-    facts (method mutators, subscript stores, ``global`` rebinds of a
-    name the function does not bind locally); the project half keeps
-    only facts in functions the symbol graph shows are reachable from
-    the entry packages.  Registries filled at import time are fine —
-    the rule fires on *function-body* mutations only.
-    """
-
-    code = "DF003"
-    name = "shared-mutable-state"
-    rationale = ("module-level mutables mutated on the crawl path race "
-                 "under the worker-pool engine; pass state explicitly")
-
-    def collect_module(self, tree: ast.AST, ctx: FileContext) -> list:
-        if ctx.is_test_file():
-            return []
-        mutables = _module_mutables(tree)
-        if not mutables:
-            return []
-        visitor = _QualnameVisitor()
-        visitor.visit(tree)
-        facts: list[MutationFact] = []
-        for qualname, func in visitor.functions:
-            facts.extend(self._function_facts(qualname, func, mutables))
-        return sorted(facts, key=lambda f: (f.line, f.col, f.target))
-
-    def _function_facts(self, qualname: str, func: ast.AST,
-                        mutables: set[str]) -> list[MutationFact]:
-        own = list(_own_nodes(func))
-        declared_global: set[str] = set()
-        bound: set[str] = {a.arg for a in ast.walk(func.args)  # type: ignore[attr-defined]
-                           if isinstance(a, ast.arg)}
-        for node in own:
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-            elif isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                           ast.Store):
-                bound.add(node.id)
-        bound -= declared_global
-
-        def shared(name: str) -> bool:
-            return name in mutables and name not in bound
-
-        facts: list[MutationFact] = []
-        for node in own:
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in MUTATOR_METHODS
-                    and isinstance(node.func.value, ast.Name)
-                    and shared(node.func.value.id)):
-                facts.append(MutationFact(
-                    qualname=qualname, target=node.func.value.id,
-                    line=node.lineno, col=node.col_offset,
-                    detail=f".{node.func.attr}()",
-                ))
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if (isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Name)
-                            and shared(target.value.id)):
-                        facts.append(MutationFact(
-                            qualname=qualname, target=target.value.id,
-                            line=node.lineno, col=node.col_offset,
-                            detail="subscript store",
-                        ))
-                    elif (isinstance(target, ast.Name)
-                          and target.id in declared_global
-                          and target.id in mutables):
-                        facts.append(MutationFact(
-                            qualname=qualname, target=target.id,
-                            line=node.lineno, col=node.col_offset,
-                            detail="global rebind",
-                        ))
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if (isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Name)
-                            and shared(target.value.id)):
-                        facts.append(MutationFact(
-                            qualname=qualname, target=target.value.id,
-                            line=node.lineno, col=node.col_offset,
-                            detail="subscript delete",
-                        ))
-        return facts
-
-    def check_project(self, model: "ProjectModel",
-                      config: RuleConfig) -> list[Finding]:
-        reachable = self._reachable_functions(model)
-        findings: list[Finding] = []
-        for path in sorted(model.df_facts):
-            if not model.is_linted(path):
-                continue
-            for fact in model.df_facts[path].get(self.code, []):
-                if (path, fact.qualname) not in reachable:
-                    continue
-                findings.append(Finding(
-                    path=path, line=fact.line, col=fact.col,
-                    rule=self.code,
-                    message=(
-                        f"{fact.qualname}() mutates module-level mutable "
-                        f"{fact.target!r} ({fact.detail}) and is reachable "
-                        "from crawler/campaign entry points; shared state "
-                        "races under concurrent workers — pass it "
-                        "explicitly or move it into an object"
-                    ),
-                ))
-        return findings
-
-    def _reachable_functions(self, model: "ProjectModel") -> set:
-        """(path, qualname) closure over the name-resolved call graph,
-        seeded with every function of the entry packages."""
-        by_name: dict[str, list[tuple[str, Any]]] = {}
-        for mod in model.by_path.values():
-            for func in mod.functions:
-                by_name.setdefault(func.name, []).append((mod.path, func))
-        work: list[tuple[str, Any]] = []
-        reachable: set[tuple[str, str]] = set()
-        for mod in model.by_path.values():
-            if mod.package not in ENTRY_PACKAGES:
-                continue
-            for func in mod.functions:
-                if (mod.path, func.qualname) not in reachable:
-                    reachable.add((mod.path, func.qualname))
-                    work.append((mod.path, func))
-        while work:
-            _, func = work.pop()
-            callees = set(func.loaded) | set(getattr(func, "attrs", ()))
-            for name in callees:
-                for path, target in by_name.get(name, []):
-                    key = (path, target.qualname)
-                    if key not in reachable:
-                        reachable.add(key)
-                        work.append((path, target))
-        return reachable
-
-
-# ---------------------------------------------------------------------------
 # DF004 — dead-store
 # ---------------------------------------------------------------------------
 
@@ -724,7 +458,6 @@ def default_df_rules() -> list[DataflowRule]:
     return [
         UnseededRngTaintRule(),
         ResourceLeakRule(),
-        SharedMutableStateRule(),
         DeadStoreRule(),
         SwallowedRetryErrorRule(),
     ]

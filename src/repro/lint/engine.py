@@ -25,7 +25,8 @@ whole-program analysis: phase 1 produces per-file findings plus a
 results cache per file — builds a control-flow graph per function and
 runs the dataflow DF rules (:mod:`repro.lint.df_rules`); phase 2
 assembles the project model and runs the interprocedural FLOW rules
-plus the project half of the DF family (:mod:`repro.lint.project`).
+(:mod:`repro.lint.project`).  Reference-corpus files feed phase 2
+their symbol tables only.
 """
 
 from __future__ import annotations
@@ -155,47 +156,39 @@ class FileContext:
     #: (0 = module scope); maintained by the dispatcher.
     function_depth: int = 0
     _noqa: dict[int, frozenset[str] | None] = field(default_factory=dict)
+    #: Path-derived facts, computed once in ``__post_init__`` (rules ask
+    #: for them per node):
+    posix_path: str = field(init=False, default="")
+    #: Path relative to the ``repro`` package root (e.g.
+    #: ``core/bandit.py``), or ``""`` if the file is outside it.
+    repro_relpath: str = field(init=False, default="")
+    #: First-level subpackage under ``repro`` (``"core"``, ...), or
+    #: ``""`` for root modules and files outside the package.
+    package: str = field(init=False, default="")
+    _is_test: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         self._noqa = scan_noqa(self.source)
-
-    # -- path-derived attributes ----------------------------------------
-
-    @property
-    def posix_path(self) -> str:
-        return Path(self.path).as_posix()
-
-    @property
-    def repro_relpath(self) -> str:
-        """Path relative to the ``repro`` package root (e.g.
-        ``core/bandit.py``), or ``""`` if the file is outside it."""
-        parts = Path(self.path).parts
-        if "repro" not in parts:
-            return ""
-        index = len(parts) - 1 - parts[::-1].index("repro")
-        return "/".join(parts[index + 1:])
-
-    @property
-    def package(self) -> str:
-        """First-level subpackage under ``repro`` (``"core"``, ...), or
-        ``""`` for root modules and files outside the package."""
-        relpath = self.repro_relpath
-        if "/" not in relpath:
-            return ""
-        return relpath.split("/", 1)[0]
+        path = Path(self.path)
+        self.posix_path = posix = path.as_posix()
+        parts = path.parts
+        if "repro" in parts:
+            index = len(parts) - 1 - parts[::-1].index("repro")
+            self.repro_relpath = "/".join(parts[index + 1:])
+        if "/" in self.repro_relpath:
+            self.package = self.repro_relpath.split("/", 1)[0]
+        self._is_test = (
+            path.name.startswith("test_")
+            or path.name.endswith("_test.py")
+            or "/tests/" in posix
+            or "/benchmarks/" in posix
+        )
 
     def in_function(self) -> bool:
         return self.function_depth > 0
 
     def is_test_file(self) -> bool:
-        name = Path(self.path).name
-        posix = self.posix_path
-        return (
-            name.startswith("test_")
-            or name.endswith("_test.py")
-            or "/tests/" in posix
-            or "/benchmarks/" in posix
-        )
+        return self._is_test
 
     # -- reporting -------------------------------------------------------
 
@@ -244,13 +237,9 @@ class LintRun:
     cache: "CacheStats"
     project: bool
     files: int
-    #: Wall seconds per phase (``per_file`` includes ``dataflow`` and
-    #: ``effects``); populated by :meth:`Linter.run` for ``--stats``.
+    #: Wall seconds per phase (``per_file`` includes ``dataflow``);
+    #: populated by :meth:`Linter.run` for ``--stats``.
     timings: dict[str, float] = field(default_factory=dict)
-    #: Phase-4 fixpoint result (:class:`~repro.lint.effects
-    #: .EffectAnalysis`); only populated on ``project=True`` runs — the
-    #: substrate the shard-safety certificate is built from.
-    effects: "object | None" = None
 
 
 class Linter:
@@ -262,9 +251,7 @@ class Linter:
         rules: Iterable[Rule] | None = None,
         project_rules: "Iterable | None" = None,
         df_rules: "Iterable | None" = None,
-        conc_rules: "Iterable | None" = None,
     ) -> None:
-        from repro.lint.conc_rules import default_conc_rules
         from repro.lint.df_rules import default_df_rules
         from repro.lint.project import default_project_rules
         from repro.lint.rules import default_rules
@@ -275,16 +262,12 @@ class Linter:
                        else default_project_rules())
         all_df = (list(df_rules) if df_rules is not None
                   else default_df_rules())
-        all_conc = (list(conc_rules) if conc_rules is not None
-                    else default_conc_rules())
         known = {rule.code for rule in all_rules}
         known.update(rule.code for rule in all_project)
         known.update(rule.code for rule in all_df)
-        known.update(rule.code for rule in all_conc)
         known.update(rule.code for rule in default_rules())
         known.update(rule.code for rule in default_project_rules())
         known.update(rule.code for rule in default_df_rules())
-        known.update(rule.code for rule in default_conc_rules())
         unknown = set(self.config.disable) - known
         if unknown:
             raise LintUsageError(
@@ -295,11 +278,7 @@ class Linter:
                               if r.code not in self.config.disable]
         self.df_rules = [r for r in all_df
                          if r.code not in self.config.disable]
-        self.conc_rules = [r for r in all_conc
-                           if r.code not in self.config.disable]
         self._df_seconds = 0.0
-        self._effects_seconds = 0.0
-        self._last_effects = None
         self._handlers: dict[str, list[Callable]] = {}
         for rule in self.rules:
             for node_type, handler in rule.handlers().items():
@@ -307,11 +286,15 @@ class Linter:
 
     # -- phase 1: per-file analysis --------------------------------------
 
-    def _analyze(self, source: str, path: str, sha: str = ""):
+    def _analyze(self, source: str, path: str, sha: str = "",
+                 symbols_only: bool = False):
         """Full per-file result: findings, suppressed findings, symbols.
 
         Returns a :class:`repro.lint.cache.CachedFile` — the unit both
-        the incremental cache and the project pass consume.
+        the incremental cache and the project pass consume.  With
+        ``symbols_only`` (reference-corpus files, never linted) no rule
+        runs and no CFG is built: the entry carries the symbol table
+        alone and is marked so it can never serve a linted file.
         """
         from repro.lint.cache import CachedFile
         from repro.lint.symbols import extract_symbols
@@ -328,27 +311,26 @@ class Linter:
             )
             return CachedFile(sha=sha, findings=[finding], suppressed=[],
                               symbols=None, noqa=scan_noqa(source))
+        if symbols_only:
+            return CachedFile(sha=sha, findings=[], suppressed=[],
+                              symbols=extract_symbols(tree, path), noqa={},
+                              symbols_only=True)
         ctx = FileContext(path=path, config=self.config, source=source,
                           tree=tree)
         _Dispatcher(self._handlers, ctx).visit(tree)
-        df_facts = self._run_dataflow(tree, ctx)
-        effect_facts = self._run_effects(tree, ctx)
+        self._run_dataflow(tree, ctx)
         return CachedFile(
             sha=sha,
             findings=sorted(ctx.findings),
             suppressed=sorted(ctx.suppressed_findings),
             symbols=extract_symbols(tree, path),
             noqa=dict(ctx._noqa),
-            df_facts=df_facts,
-            effect_facts=effect_facts,
         )
 
-    def _run_dataflow(self, tree: ast.AST, ctx: FileContext) -> dict:
-        """Phase 3: one CFG per function, every DF rule over each, plus
-        the per-module fact collection DF003's project half consumes.
-        The CONC rules' per-function halves (phase 4) share the CFGs."""
-        if not self.df_rules and not self.conc_rules:
-            return {}
+    def _run_dataflow(self, tree: ast.AST, ctx: FileContext) -> None:
+        """Phase 3: one CFG per function, every DF rule over each."""
+        if not self.df_rules:
+            return
         started = time.perf_counter()
         from repro.lint.cfg import build_cfg, function_defs
 
@@ -356,37 +338,7 @@ class Linter:
             cfg = build_cfg(func)
             for rule in self.df_rules:
                 rule.check_function(func, cfg, ctx)
-            for rule in self.conc_rules:
-                rule.check_function(func, cfg, ctx)
-        df_facts: dict[str, list] = {}
-        for rule in self.df_rules:
-            facts = rule.collect_module(tree, ctx)
-            if facts:
-                df_facts[rule.code] = facts
         self._df_seconds += time.perf_counter() - started
-        return df_facts
-
-    def _run_effects(self, tree: ast.AST, ctx: FileContext):
-        """Phase 4 per-file half: effect sites, callees, RNG streams.
-
-        Lines carrying an explicit ``noqa[CONC005]`` marker are passed
-        down as sanctioned io: the site still produces its CONC005
-        finding (which the marker then suppresses — FLOW004 stays
-        honest) but no longer drives the function's effect to
-        ``performs-io`` in the lattice.
-        """
-        if not self.conc_rules:
-            return None
-        from repro.lint.effects import collect_effects
-
-        started = time.perf_counter()
-        sanctioned = frozenset(
-            line for line, codes in ctx._noqa.items()
-            if codes is not None and "CONC005" in codes
-        )
-        effect_facts = collect_effects(tree, sanctioned_lines=sanctioned)
-        self._effects_seconds += time.perf_counter() - started
-        return effect_facts
 
     # -- entry points ----------------------------------------------------
 
@@ -437,8 +389,7 @@ class Linter:
 
         codes = sorted({r.code for r in self.rules}
                        | {r.code for r in self.project_rules}
-                       | {r.code for r in self.df_rules}
-                       | {r.code for r in self.conc_rules})
+                       | {r.code for r in self.df_rules})
         return "|".join([RULESET_VERSION, ",".join(codes),
                          config_digest(self.config)])
 
@@ -450,11 +401,13 @@ class Linter:
         cache_path: str | Path | None = None,
         reference_roots: Iterable[str | Path] = (),
     ) -> LintRun:
-        """The two-phase analysis: per-file rules, then FLOW rules.
+        """The three-phase analysis: per-file rules with the dataflow
+        pass interleaved, then the project-wide FLOW rules.
 
         ``reference_roots`` name directories whose files feed the
         project model (symbol tables, reference corpus) without being
-        linted themselves — findings only ever anchor inside ``paths``.
+        linted themselves — findings only ever anchor inside ``paths``,
+        and reference files are parsed for their symbols only.
         With ``cache_path`` set, unchanged files are served from the
         content-hash cache and cost one SHA-256 instead of a parse.
         """
@@ -465,22 +418,21 @@ class Linter:
         cache = (LintCache(cache_path, key=self._cache_key())
                  if cache_path is not None else None)
         self._df_seconds = 0.0
-        self._effects_seconds = 0.0
-        self._last_effects = None
         phase_started = time.perf_counter()
 
-        def analyze_file(file: Path):
+        def analyze_file(file: Path, symbols_only: bool = False):
             data = file.read_bytes()
             sha = content_sha(data)
             path_str = str(file)
             stats.files += 1
             if cache is not None:
-                hit = cache.get(path_str, sha)
+                hit = cache.get(path_str, sha, symbols_only=symbols_only)
                 if hit is not None:
                     stats.hits += 1
                     return hit
                 stats.misses += 1
-            result = self._analyze(data.decode("utf-8"), path_str, sha)
+            result = self._analyze(data.decode("utf-8"), path_str, sha,
+                                   symbols_only=symbols_only)
             if cache is not None:
                 cache.put(path_str, result)
             return result
@@ -502,12 +454,11 @@ class Linter:
         timings = {
             "per_file": per_file_seconds,
             "dataflow": self._df_seconds,
-            "effects": self._effects_seconds,
             "project": project_seconds,
         }
         return LintRun(findings=sorted(findings), cache=stats,
                        project=project, files=len(results),
-                       timings=timings, effects=self._last_effects)
+                       timings=timings)
 
     def _run_project_phase(
         self,
@@ -533,7 +484,8 @@ class Linter:
                     continue
                 seen.add(resolved)
                 reference_files.append(file)
-        reference_results = [analyze_file(file) for file in reference_files]
+        reference_results = [analyze_file(file, symbols_only=True)
+                             for file in reference_files]
 
         all_results = [*results.values(), *reference_results]
         symbols = [r.symbols for r in all_results if r.symbols is not None]
@@ -545,35 +497,14 @@ class Linter:
                     finding.line, set()
                 ).add(finding.rule)
 
-        df_facts = {path: result.df_facts for path, result in results.items()
-                    if result.df_facts}
-        effect_facts = {path: result.effect_facts
-                        for path, result in results.items()
-                        if result.effect_facts is not None}
         model = build_project(symbols, linted_paths=results.keys(),
-                              noqa=noqa, suppressed=suppressed,
-                              df_facts=df_facts, effects=effect_facts)
-
-        analysis = None
-        if self.conc_rules:
-            from repro.lint.effects import propagate_effects
-
-            started = time.perf_counter()
-            analysis = propagate_effects(model)
-            self._effects_seconds += time.perf_counter() - started
-            self._last_effects = analysis
+                              noqa=noqa, suppressed=suppressed)
 
         findings: list[Finding] = []
         deferred = [r for r in self.project_rules
                     if isinstance(r, UnusedNoqaRule)]
         checks = [rule.check for rule in self.project_rules
                   if not isinstance(rule, UnusedNoqaRule)]
-        checks.extend(rule.check_project for rule in self.df_rules)
-        if analysis is not None:
-            checks.extend(
-                (lambda m, c, _rule=rule: _rule.check_project(m, c, analysis))
-                for rule in self.conc_rules
-            )
         for check in checks:
             for finding in check(model, self.config):
                 codes = noqa.get(finding.path, {}).get(finding.line, False)

@@ -57,14 +57,6 @@ class ProjectModel:
     suppressed: dict[str, dict[int, set[str]]]
     #: module -> set of imported modules (edges restricted to the model).
     import_graph: dict[str, set[str]] = field(default_factory=dict)
-    #: path -> {DF rule code -> list of per-file facts} from phase 3;
-    #: consumed by the DF rules' project halves (e.g. DF003 joins its
-    #: mutation facts with the call graph here).
-    df_facts: dict[str, dict[str, list]] = field(default_factory=dict)
-    #: path -> per-file effect facts from phase 4
-    #: (:class:`~repro.lint.effects.ModuleEffects`); consumed by
-    #: :func:`repro.lint.effects.propagate_effects` and the CONC rules.
-    effects: dict[str, object] = field(default_factory=dict)
 
     def is_linted(self, path: str) -> bool:
         return path in self.linted_paths
@@ -101,8 +93,6 @@ def build_project(
     linted_paths: Iterable[str],
     noqa: dict[str, dict[int, frozenset[str] | None]],
     suppressed: dict[str, dict[int, set[str]]],
-    df_facts: dict[str, dict[str, list]] | None = None,
-    effects: dict[str, object] | None = None,
 ) -> ProjectModel:
     """Assemble the project model (import graph included) from phase 1."""
     modules: dict[str, ModuleSymbols] = {}
@@ -133,8 +123,6 @@ def build_project(
         noqa=noqa,
         suppressed=suppressed,
         import_graph=graph,
-        df_facts=df_facts or {},
-        effects=effects or {},
     )
 
 

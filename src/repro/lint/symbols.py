@@ -108,26 +108,19 @@ class FunctionInfo:
     is_method: bool
     is_stub: bool            # body is only docstring/.../pass/raise
     loaded: tuple[str, ...]  # sorted names read (Load context) in the body
-    #: Sorted attribute names accessed in the body (``self.step`` ->
-    #: ``step``).  Kept separate from ``loaded`` — FLOW001's seed-drop
-    #: check must not treat an unrelated attribute as a parameter use —
-    #: and consumed by DF003's method-call reachability edges.
-    attrs: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         return {"name": self.name, "qualname": self.qualname,
                 "line": self.line, "params": list(self.params),
                 "is_public": self.is_public, "is_method": self.is_method,
-                "is_stub": self.is_stub, "loaded": list(self.loaded),
-                "attrs": list(self.attrs)}
+                "is_stub": self.is_stub, "loaded": list(self.loaded)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FunctionInfo":
         return cls(name=data["name"], qualname=data["qualname"],
                    line=data["line"], params=tuple(data["params"]),
                    is_public=data["is_public"], is_method=data["is_method"],
-                   is_stub=data["is_stub"], loaded=tuple(data["loaded"]),
-                   attrs=tuple(data.get("attrs", ())))
+                   is_stub=data["is_stub"], loaded=tuple(data["loaded"]))
 
 
 @dataclass(frozen=True)
@@ -281,10 +274,6 @@ class _SymbolVisitor(ast.NodeVisitor):
              if isinstance(child, ast.Name)
              and isinstance(child.ctx, ast.Load)}
         )
-        attrs = sorted(
-            {child.attr for child in ast.walk(node)
-             if isinstance(child, ast.Attribute)}
-        )
         self.functions.append(FunctionInfo(
             name=node.name,
             qualname=self._qualname(node.name),
@@ -294,7 +283,6 @@ class _SymbolVisitor(ast.NodeVisitor):
             is_method=is_method,
             is_stub=_is_stub_body(node.body),
             loaded=tuple(loaded),
-            attrs=tuple(attrs),
         ))
         self._scope.append(("func", node.name, False))
         self.generic_visit(node)

@@ -169,7 +169,7 @@ def truncate_events(path: str | Path, n_events: int) -> None:
     that means the checkpoint and the trace drifted apart.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:  # repro: noqa[CONC005] rewinding this shard's own trace
+    with path.open("r", encoding="utf-8") as handle:
         lines = [line for line in handle if line.strip()]
     if not lines:
         raise ValueError(f"empty event trace: {path}")
@@ -181,7 +181,7 @@ def truncate_events(path: str | Path, n_events: int) -> None:
             f"cannot rewind {path} to {n_events} events: "
             f"only {len(events)} present"
         )
-    with path.open("w", encoding="utf-8") as handle:  # repro: noqa[CONC005] rewinding this shard's own trace
+    with path.open("w", encoding="utf-8") as handle:
         handle.write(header)
         handle.writelines(events[:n_events])
 

@@ -122,7 +122,7 @@ def test_campaign_lower_bounds_property():
 
 
 def test_report_is_identical_under_permuted_workload_order():
-    """The determinism property the shard-safety certificate protects:
+    """The determinism property the backend-equivalence gate relies on:
     ``schedule_campaign`` is a pure function of the workload *set* —
     makespan, per-site finishes and even the float-summed sequential
     baseline must be bit-identical however the input list is ordered."""

@@ -5,7 +5,7 @@ Covers the three contracts of docs/campaign.md: per-domain sharding
 graceful shutdown (interrupt → partial report, no orphaned processes),
 and the determinism guarantee — the serial and multiprocessing backends
 produce byte-identical campaign reports, checked both on a fixed config
-and on a seeded sweep of random (sites, workers, politeness) configs.
+and on a seeded sweep over every registered crawler.
 """
 
 import json
@@ -26,6 +26,7 @@ from repro.campaign import (
     run_shard,
     site_seed,
 )
+from repro.baselines import CRAWLER_NAMES
 from repro.obs import MemorySink
 from repro.utils.rng import derive_rng, derive_seed
 
@@ -220,27 +221,38 @@ def run_and_collect_events(spec):
 
 
 def test_backend_equivalence_random_config_sweep():
-    """Seeded sweep over (sites, workers, politeness) configs: every
-    one must satisfy serial digest == multiprocessing digest."""
+    """Every registered crawler, seeded configs: serial digest ==
+    multiprocessing digest.
+
+    This is the runtime shard-safety check.  A crawl that leaks state
+    into module scope changes the next crawl in the same process: the
+    serial backend runs every shard in this process, and a repeat run
+    starts from whatever the first one left behind, while pool workers
+    start fresh.  Each shard crawls two sites, and these four sites at
+    budget 600 take an SB-CLASSIFIER campaign past the classifier's 40
+    warm-up fits, so leaked warm-up state changes the crawl."""
     rng = derive_rng(2024, "test", "campaign-sweep")
-    for round_index in range(3):
-        n_sites = rng.randrange(2, len(SMALL_SITES) + 1)
-        sites = tuple(sorted(rng.sample(SMALL_SITES, n_sites)))
+    for crawler in CRAWLER_NAMES:
         spec = CampaignSpec(
-            sites=sites,
-            crawler="BFS",
+            sites=("be", "cn", "ed", "ju"),
+            crawler=crawler,
             seed=rng.randrange(1, 100),
             scale=0.05,
-            n_shards=rng.randrange(1, 5),
-            n_workers=rng.randrange(1, 4),
+            budget=600,
+            n_shards=2,
+            n_workers=2,
             politeness_delay=rng.choice((0.5, 1.0, 2.0)),
         )
         serial = run_campaign(spec)
+        assert [len(p.sites) for p in serial.partitions] == [2, 2]
+        assert run_campaign(spec).to_json() == serial.to_json(), (
+            f"{crawler}: a repeat serial run diverged for {spec}"
+        )
         parallel = run_campaign(
             spec, backend=MultiprocessingBackend(n_workers=spec.n_workers)
         )
         assert serial.to_json() == parallel.to_json(), (
-            f"config {round_index}: backend divergence for {spec}"
+            f"{crawler}: backend divergence for {spec}"
         )
     assert _no_orphans()
 
@@ -315,6 +327,17 @@ def test_run_shard_traces_and_ledger(tmp_path):
     assert trace_file.exists()
     # The shard's metrics registry folded the fetch stream.
     assert outcome.metrics.get("requests_total").value == site.n_requests
+
+
+def test_campaign_creates_a_missing_trace_dir(tmp_path):
+    """The worker creates the trace directory (with parents) itself, so
+    a library caller needs no CLI-side setup."""
+    trace_dir = tmp_path / "missing" / "traces"
+    spec = CampaignSpec(sites=("qa",), crawler="BFS", scale=0.05,
+                        budget=50, trace_dir=str(trace_dir))
+    report = run_campaign(spec)
+    assert not report.partial
+    assert (trace_dir / f"qa-BFS-s{spec.seed}.jsonl").is_file()
 
 
 def test_partition_dataclass_shape():

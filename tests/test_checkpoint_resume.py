@@ -309,13 +309,11 @@ def _shard_task(tmp_path, resume=False):
 
 
 def test_run_shard_interrupt_resume_is_byte_identical(tmp_path):
-    (tmp_path / "traces").mkdir()
     reference_task = ShardTask(
         shard_id=0, sites=("be", "cl"), crawler="SB-CLASSIFIER", seed=5,
         scale=SCALE, budget=BUDGET,
         trace_dir=str(tmp_path / "ref-traces"),
     )
-    (tmp_path / "ref-traces").mkdir()
     reference = run_shard(reference_task)
 
     interrupted = run_shard(

@@ -23,7 +23,7 @@ def _load():
 def test_workflow_parses_and_declares_all_jobs():
     doc = _load()
     assert set(doc["jobs"]) == {
-        "tests", "lint", "shard-safety", "campaign-smoke",
+        "tests", "lint", "campaign-smoke",
         "resume-equivalence", "precheck", "bench", "bench-smoke",
     }
 
@@ -123,18 +123,6 @@ def test_lint_job_renders_and_uploads_sarif():
     uploads = [s for s in steps
                if "upload-artifact" in str(s.get("uses", ""))]
     assert "lint-report.sarif" in uploads[0]["with"]["path"]
-
-
-def test_shard_safety_job_enforces_certificate_drift_gate():
-    """The shard-safety job regenerates the phase-4 certificate with the
-    cache bypassed and fails on any byte of drift from the committed
-    bench_results/shard_safety.json."""
-    doc = _load()
-    steps = doc["jobs"]["shard-safety"]["steps"]
-    commands = "\n".join(s.get("run", "") for s in steps)
-    assert "--shard-safety repro.campaign" in commands
-    assert "--no-cache" in commands
-    assert "git diff --exit-code bench_results/shard_safety.json" in commands
 
 
 def test_campaign_smoke_job_enforces_backend_equivalence():

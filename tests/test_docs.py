@@ -129,38 +129,6 @@ def test_static_analysis_doc_covers_every_df_rule():
     assert table_rows == registered
 
 
-def test_static_analysis_doc_covers_every_conc_rule():
-    """The CONC catalogue table in docs/static_analysis.md carries one
-    row per registered concurrency rule — code and name both — and
-    names no CONC code that is not registered (drift gate, both
-    directions, same contract as the DF gate above)."""
-    import re
-
-    from repro.lint import default_conc_rules
-
-    doc = (REPO / "docs" / "static_analysis.md").read_text()
-    table_rows = {
-        match.group(1): match.group(2)
-        for match in re.finditer(r"^\| (CONC\d+) \| ([a-z0-9-]+) \|",
-                                 doc, flags=re.MULTILINE)
-    }
-    registered = {rule.code: rule.name for rule in default_conc_rules()}
-    assert table_rows == registered
-
-
-def test_static_analysis_doc_covers_certificate_schema():
-    """Every top-level key of the emitted shard-safety certificate must
-    appear in the docs/static_analysis.md schema description."""
-    import json
-
-    certificate = json.loads(
-        (REPO / "bench_results" / "shard_safety.json").read_text()
-    )
-    doc = (REPO / "docs" / "static_analysis.md").read_text()
-    for key in certificate:
-        assert f"`{key}`" in doc, f"certificate key {key} missing from doc"
-
-
 def test_observability_doc_covers_every_metric():
     """The metric catalogue table names every registered instrument."""
     from repro.obs import MetricsObserver

@@ -78,23 +78,6 @@ def test_interpreter_version_is_part_of_the_cache_key(tree, tmp_path,
     assert other.cache.misses == other.cache.files == 2
 
 
-def test_cache_preserves_effect_facts(tree, tmp_path):
-    """Phase-4 effect facts survive the cache round-trip, so a warm
-    project run can solve the effect fixpoint without re-parsing."""
-    from repro.lint.cache import LintCache, content_sha
-
-    cache_path = tmp_path / "cache.json"
-    linter = Linter(RuleConfig())
-    linter.run([tree], cache_path=cache_path)
-    store = LintCache(cache_path, key=linter._cache_key())
-    path = str(tree / "dirty.py")
-    entry = store.get(path, content_sha((tree / "dirty.py").read_bytes()))
-    assert entry is not None
-    assert entry.effect_facts is not None
-    fresh = linter._analyze(DIRTY, path, sha=entry.sha)
-    assert entry.effect_facts == fresh.effect_facts
-
-
 def test_config_change_invalidates_everything(tree, tmp_path):
     cache = tmp_path / "cache.json"
     run(tree, cache)
@@ -168,3 +151,29 @@ def test_cache_roundtrip_preserves_symbols(tree, tmp_path):
     assert entry.symbols.to_dict() == fresh.symbols.to_dict()
     assert [f.to_dict() for f in entry.findings] == \
         [f.to_dict() for f in fresh.findings]
+
+
+def test_symbols_only_entry_never_serves_a_linted_file(tmp_path):
+    """Reference-corpus files are cached with their symbols only; linting
+    such a file later must analyse it afresh, not replay an entry no rule
+    ever ran on.  A full entry does serve a later reference read."""
+    src = tmp_path / "src"
+    examples = tmp_path / "examples"
+    src.mkdir()
+    examples.mkdir()
+    (src / "clean.py").write_text(CLEAN)
+    (examples / "dirty.py").write_text(DIRTY)
+    cache = tmp_path / "cache.json"
+
+    def project_run():
+        return Linter(RuleConfig()).run([src], project=True, cache_path=cache,
+                                        reference_roots=[examples])
+
+    first = project_run()
+    assert first.findings == []  # reference files are never linted
+    assert first.cache.misses == first.cache.files == 2
+    linted = run(examples, cache)
+    assert linted.cache.misses == linted.cache.files == 1
+    assert [f.rule for f in linted.findings] == ["DET001"]
+    again = project_run()
+    assert again.cache.hits == again.cache.files == 2

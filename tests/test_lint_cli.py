@@ -101,7 +101,7 @@ def test_list_rules_prints_catalogue(capsys):
     for code in ("DET001", "DET002", "DET003", "COR001", "COR002",
                  "COR003", "API001", "API002", "FLOW001", "FLOW002",
                  "FLOW003", "FLOW004", "FLOW005", "DF001", "DF002",
-                 "DF003", "DF004", "DF005"):
+                 "DF004", "DF005"):
         assert code in out
 
 
@@ -267,95 +267,13 @@ def test_sarif_format_is_valid_sarif_210(dirty_file, capsys):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro.lint"
     rule_ids = {rule["id"] for rule in driver["rules"]}
-    assert {"DET001", "COR001", "CONC001"} <= rule_ids
+    assert {"DET001", "COR001", "FLOW001", "DF001"} <= rule_ids
     assert run["results"], "findings must surface as SARIF results"
     first = run["results"][0]
     assert first["ruleId"] in rule_ids
     location = first["locations"][0]["physicalLocation"]
     assert location["region"]["startLine"] >= 1
     assert location["region"]["startColumn"] >= 1  # SARIF is 1-based
-
-
-def test_selecting_conc_rule_implies_project_pass(tmp_path, capsys):
-    source = tmp_path / "src" / "repro" / "campaign"
-    source.mkdir(parents=True)
-    (source / "engine.py").write_text(
-        "_SEEN = {}\n"
-        "\n"
-        "\n"
-        "def run_shard(site):\n"
-        "    _SEEN[site] = True\n"
-        "    return site\n"
-    )
-    (tmp_path / "pyproject.toml").write_text("")
-    code = main(["--no-config", "--no-cache", "--select", "CONC001",
-                 str(tmp_path / "src")])
-    assert code == EXIT_FINDINGS
-    assert "CONC001" in capsys.readouterr().out
-
-
-def test_shard_safety_writes_certificate_and_summarises(tmp_path, capsys):
-    source = tmp_path / "src" / "repro" / "campaign"
-    source.mkdir(parents=True)
-    (source / "engine.py").write_text(
-        "def run_shard(site):\n    return site\n"
-    )
-    (tmp_path / "pyproject.toml").write_text("")
-    cert = tmp_path / "out" / "cert.json"
-    code = main(["--no-config", "--no-cache",
-                 "--shard-safety", "repro.campaign",
-                 "--cert-out", str(cert), str(tmp_path / "src")])
-    assert code == EXIT_CLEAN
-    out = capsys.readouterr().out
-    assert "shard-safety[repro.campaign]: SAFE" in out
-    document = json.loads(cert.read_text())
-    assert document["target"] == "repro.campaign"
-    assert document["summary"]["safe"] is True
-    assert document["digest"][:12] in out  # summary names the digest prefix
-
-
-def test_shard_safety_goes_unsafe_with_findings_exit(tmp_path, capsys):
-    source = tmp_path / "src" / "repro" / "campaign"
-    source.mkdir(parents=True)
-    (source / "engine.py").write_text(
-        "import time\n"
-        "\n"
-        "\n"
-        "def stamp(event):\n"
-        "    return (event, time.time())\n"
-    )
-    (tmp_path / "pyproject.toml").write_text("")
-    cert = tmp_path / "cert.json"
-    code = main(["--no-config", "--no-cache",
-                 "--shard-safety", "repro.campaign",
-                 "--cert-out", str(cert), str(tmp_path / "src")])
-    assert code == EXIT_FINDINGS
-    out = capsys.readouterr().out
-    assert "UNSAFE" in out
-    assert json.loads(cert.read_text())["summary"]["safe"] is False
-
-
-def test_shard_safety_without_conc_rules_is_a_usage_error(tmp_path, capsys):
-    (tmp_path / "a.py").write_text("A = 1\n")
-    code = main(["--no-config", "--disable", "CONC",
-                 "--shard-safety", "repro.campaign",
-                 "--cert-out", str(tmp_path / "cert.json"),
-                 str(tmp_path / "a.py")])
-    assert code == EXIT_USAGE
-    assert "CONC" in capsys.readouterr().err
-
-
-def test_list_rules_includes_conc_catalogue(capsys):
-    assert main(["--list-rules"]) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    for code in ("CONC001", "CONC002", "CONC003", "CONC004", "CONC005"):
-        assert code in out
-
-
-def test_stats_flag_reports_effects_phase(dirty_file, capsys):
-    assert main(["--no-config", "--stats", "--project",
-                 str(dirty_file)]) == EXIT_FINDINGS
-    assert "phase effects" in capsys.readouterr().err
 
 
 def test_directory_walk_respects_exclude(tmp_path, capsys):

@@ -121,7 +121,7 @@ def test_custom_analysis_plugs_into_the_solver():
 def test_df_catalogue_codes_and_metadata():
     rules = default_df_rules()
     assert [r.code for r in rules] == \
-        ["DF001", "DF002", "DF003", "DF004", "DF005"]
+        ["DF001", "DF002", "DF004", "DF005"]
     for rule in rules:
         assert isinstance(rule, DataflowRule)
         assert rule.name and rule.rationale
@@ -390,103 +390,6 @@ def test_df005_fall_through_to_shared_bookkeeping_passes():
         """
     ), "DF005")
     assert findings == []
-
-
-# ---------------------------------------------------------------------------
-# DF003 — shared-mutable-state (project phase)
-# ---------------------------------------------------------------------------
-
-
-def materialize(tmp_path, tree: dict[str, str]) -> None:
-    for rel, content in tree.items():
-        path = tmp_path / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(content), encoding="utf-8")
-
-
-def project_findings(tmp_path, tree: dict[str, str]):
-    materialize(tmp_path, tree)
-    run = Linter(RuleConfig()).run(
-        [tmp_path / "src" / "repro"], project=True
-    )
-    return run.findings
-
-
-def test_df003_mutation_in_entry_package_is_caught(tmp_path):
-    findings = only(project_findings(tmp_path, {
-        "src/repro/core/tracker.py": """\
-            SEEN = set()
-
-
-            def crawl(url):
-                SEEN.add(url)
-                return url
-            """,
-    }), "DF003")
-    assert len(findings) == 1
-    assert findings[0].path.endswith("tracker.py")
-    assert findings[0].line == 5
-    assert "crawl" in findings[0].message
-    assert "'SEEN'" in findings[0].message
-
-
-def test_df003_reaches_helpers_through_the_call_graph(tmp_path):
-    findings = only(project_findings(tmp_path, {
-        "src/repro/core/engine.py": """\
-            from repro.experiments.cachez import memo
-
-
-            def crawl(url):
-                return memo(url, url)
-            """,
-        "src/repro/experiments/cachez.py": """\
-            _CACHE = {}
-
-
-            def memo(key, value):
-                _CACHE[key] = value
-                return value
-            """,
-    }), "DF003")
-    assert len(findings) == 1
-    assert findings[0].path.endswith("cachez.py")
-    assert findings[0].line == 5
-
-
-def test_df003_ignores_unreachable_mutations(tmp_path):
-    findings = only(project_findings(tmp_path, {
-        "src/repro/experiments/cachez.py": """\
-            _CACHE = {}
-
-
-            def memo(key, value):
-                _CACHE[key] = value
-                return value
-            """,
-    }), "DF003")
-    assert findings == []
-
-
-def test_df003_facts_survive_the_incremental_cache(tmp_path):
-    materialize(tmp_path, {
-        "src/repro/core/tracker.py": """\
-            SEEN = set()
-
-
-            def crawl(url):
-                SEEN.add(url)
-                return url
-            """,
-    })
-    cache = tmp_path / "lint-cache.json"
-    root = tmp_path / "src" / "repro"
-    cold = Linter(RuleConfig()).run([root], project=True,
-                                    cache_path=cache)
-    warm = Linter(RuleConfig()).run([root], project=True,
-                                    cache_path=cache)
-    assert only(cold.findings, "DF003") == only(warm.findings, "DF003")
-    assert len(only(warm.findings, "DF003")) == 1
-    assert warm.cache.hits == warm.cache.files > 0
 
 
 # ---------------------------------------------------------------------------

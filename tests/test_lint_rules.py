@@ -62,8 +62,7 @@ def test_det001_function_scope_import_flagged():
             return random.Random(seed)
         """
     )
-    # The returned non-derive_rng stream is also a CONC002 escape.
-    assert codes(findings) == ["DET001", "CONC002"]
+    assert codes(findings) == ["DET001"]
 
 
 def test_det001_rng_module_exempt():
@@ -112,8 +111,7 @@ def test_det003_set_iteration_with_rng_flagged():
                     return url
         """
     )
-    # Returning the set-ordered loop variable also trips CONC003.
-    assert codes(findings) == ["DET003", "CONC003"]
+    assert codes(findings) == ["DET003"]
 
 
 def test_det003_sorted_set_ok():
