@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import bench_results_dir
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ResultCache
 
@@ -37,10 +36,11 @@ def bench_config() -> ExperimentConfig:
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    # One shared results location (repro.bench anchors it on the repo
-    # root, not the CWD) — the CLI and the benchmark suite write to the
-    # same bench_results/ directory however they are invoked.
-    return bench_results_dir()
+    # Anchored on this file, not the CWD, so the suite writes to the
+    # repo's bench_results/ however it is invoked.
+    directory = Path(__file__).resolve().parent.parent / "bench_results"
+    directory.mkdir(exist_ok=True)
+    return directory
 
 
 def save_rendered(results_dir: Path, name: str, text: str) -> None:

@@ -5,13 +5,10 @@ Usage::
     python -m repro table2 --scale 0.3 --runs 1
     python -m repro figure5
     python -m repro all --scale 0.2
-    python -m repro bench --seed 7 --report
     python -m repro campaign --sites be,cl,qa --backend both --scale 0.1
 
-``bench`` delegates to :mod:`repro.bench` (its own argument set — see
-``python -m repro bench --help`` and docs/performance.md); ``campaign``
-runs the sharded campaign engine (docs/campaign.md) with its own
-argument set below.
+``campaign`` runs the sharded campaign engine (docs/campaign.md) with
+its own argument set below.
 """
 
 from __future__ import annotations
@@ -249,14 +246,9 @@ def _compare(config: ExperimentConfig, cache: ResultCache):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # The benchmark CLI has its own argument set; hand over before
-        # argparse sees (and rejects) it.
-        from repro.bench.__main__ import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "campaign":
-        # Same pattern: the campaign verb owns its argument set.
+        # The campaign verb owns its argument set; hand over before
+        # argparse sees (and rejects) it.
         return _campaign_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",

@@ -84,10 +84,8 @@ class CrawlCheckpointer:
     Parameters
     ----------
     store:
-        Destination :class:`CheckpointStore`, or ``None`` to capture
-        the final payload in memory only (``last_payload`` — the bench
-        and unit tests use this to reach a mid-crawl state without
-        disk).
+        Destination :class:`CheckpointStore`.  The last payload saved
+        is also kept in memory as ``last_payload``.
     every:
         Save a checkpoint every ``every`` loop iterations (0 disables
         periodic saves; interrupt checkpoints still happen).
@@ -104,7 +102,7 @@ class CrawlCheckpointer:
 
     def __init__(
         self,
-        store: CheckpointStore | None,
+        store: CheckpointStore,
         every: int = 0,
         flag: ShutdownFlag | None = None,
         interrupt_at: int | None = None,
@@ -145,8 +143,6 @@ class CrawlCheckpointer:
 
     def _save(self, payload: dict):
         self.last_payload = payload
-        if self.store is None:
-            return None
         path = self.store.write_checkpoint(payload, step=self.step)
         self._last_saved_step = self.step
         self.store.prune_old(keep=max(self.keep, 2))

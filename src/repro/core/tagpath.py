@@ -164,22 +164,3 @@ class TagPathVectorizer:
         self._path_cache = {}
         for ngram in state["vocabulary"]:
             self._position(tuple(ngram))
-
-    def project_many(self, tag_paths: list[str]) -> np.ndarray:
-        """Batched projection: one ``(len(tag_paths), D)`` matrix.
-
-        The vocabulary is grown over the *whole* batch first, then every
-        row is formed under the final vocabulary — use it for offline /
-        bulk featurization where all paths are known up front.  (A
-        sequential :meth:`project` loop instead projects each path under
-        the vocabulary as of that call; the two agree exactly when no
-        path introduces new n-grams.)
-        """
-        featurized = [self._featurize(path) for path in tag_paths]
-        dim = self.dim
-        projected = np.empty((len(tag_paths), dim), dtype=np.float64)
-        for row, (buckets, values) in enumerate(featurized):
-            projected[row] = np.bincount(buckets, weights=values, minlength=dim)
-        occupied = self._bucket_sizes > 0
-        projected[:, occupied] /= self._bucket_sizes[occupied]
-        return projected

@@ -40,7 +40,6 @@ DEFAULT_LAYERS: dict[str, int] = {
     "revisit": 40,
     "campaign": 40,
     "experiments": 50,
-    "bench": 60,  # the benchmark harness may exercise anything below it
 }
 
 #: Subpackages whose public functions must thread a seed/rng (API001).

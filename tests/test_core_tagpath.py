@@ -156,14 +156,48 @@ def test_memoized_projection_bit_identical_to_fresh():
             assert vector.tobytes() == reference.tobytes()
 
 
-def test_project_many_matches_sequential_projection():
-    """Batched projection under the final vocabulary == a sequential
-    loop once every n-gram is known."""
-    paths = ["html body div a", "html body ul li a", "html body div a"]
-    warm = TagPathVectorizer()
+class _LoopTagPathVectorizer(TagPathVectorizer):
+    """Oracle: the per-path Python loop that ``project``'s memo and
+    ``np.bincount`` replaced.  It accumulates each bucket in the
+    first-occurrence order of the path's n-grams, as the fast path must."""
+
+    def project(self, tag_path: str) -> np.ndarray:
+        counts: dict[int, float] = {}
+        for ngram in self._ngrams(tag_path):
+            position = self._position(ngram)
+            counts[position] = counts.get(position, 0.0) + 1.0
+        projected = np.zeros(self.dim, dtype=np.float64)
+        for position, count in counts.items():
+            projected[self._position_bucket[position]] += count
+        occupied = self._bucket_sizes > 0
+        projected[occupied] /= self._bucket_sizes[occupied]
+        return projected
+
+
+_SEGMENTS = st.sampled_from(
+    ["div", "ul", "li", "span", "td", "div.content", "ul.items", "a"])
+#: a few layout templates, revisited often (memo hits), plus unique-id
+#: noise paths that keep the vocabulary growing
+_TAG_PATH_STREAMS = st.lists(
+    st.one_of(
+        st.integers(0, 5).map(lambda i: f"html body div.t{i} ul li a"),
+        st.lists(_SEGMENTS, max_size=8).map(
+            lambda segments: " ".join(["html", "body", *segments, "a"])),
+        st.integers(0, 10**6).map(lambda uid: f"html body div a#uid{uid}"),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(paths=_TAG_PATH_STREAMS, n=st.integers(1, 3), m=st.integers(2, 8))
+@settings(max_examples=80, deadline=None)
+def test_projection_bit_identical_to_loop_oracle(paths, n, m):
+    """Every projection of a stream that grows the vocabulary (and
+    revisits paths whose featurization is memoized) equals the loop
+    oracle's bit for bit; small ``m`` forces bucket collisions."""
+    fast = TagPathVectorizer(n=n, m=m)
+    oracle = _LoopTagPathVectorizer(n=n, m=m)
     for path in paths:
-        warm.project(path)  # vocabulary now complete
-    matrix = warm.project_many(paths)
-    assert matrix.shape == (len(paths), warm.dim)
-    for row, path in enumerate(paths):
-        assert matrix[row].tobytes() == warm.project(path).tobytes()
+        assert fast.project(path).tobytes() == oracle.project(path).tobytes()
+    assert fast.vocabulary_size == oracle.vocabulary_size
