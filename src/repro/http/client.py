@@ -36,7 +36,7 @@ from repro.obs.events import (
 from repro.obs.observer import NULL_OBSERVER, Observer
 from repro.utils.rng import derive_rng
 from repro.webgraph.mime import is_target_mime
-from repro.webgraph.model import host_in_site, registrable_host
+from repro.webgraph.model import SiteBoundary
 
 
 class OffsiteRequestError(RuntimeError):
@@ -116,7 +116,7 @@ class HttpClient:
         self.ledger = CostLedger()
         self.trace = CrawlTrace(crawler=crawler_name, site=server.graph.name)
         self.enforce_boundary = enforce_boundary
-        self._root_host = registrable_host(server.graph.root_url)
+        self._boundary = SiteBoundary(server.graph.root_url)
         self.target_mimes = target_mimes
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.retry_policy = retry_policy
@@ -134,7 +134,7 @@ class HttpClient:
     # -- internals -----------------------------------------------------
 
     def _check_boundary(self, url: str) -> None:
-        if self.enforce_boundary and not host_in_site(self._root_host, url):
+        if self.enforce_boundary and not self._boundary.contains(url):
             raise OffsiteRequestError(
                 f"crawler requested off-site URL: {url!r} "
                 f"(site root {self.server.graph.root_url!r})"

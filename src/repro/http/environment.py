@@ -19,7 +19,7 @@ from repro.http.faults import FaultPlan, FaultyServer
 from repro.http.messages import Response
 from repro.http.server import SimulatedServer
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.webgraph.model import WebsiteGraph, host_in_site, registrable_host
+from repro.webgraph.model import SiteBoundary, WebsiteGraph
 
 #: An absolute http(s) href with a non-empty authority.  ``urljoin``
 #: resolves it from the base URL's scheme alone.  The href must not hold
@@ -51,7 +51,7 @@ class CrawlEnvironment:
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.graph = graph
-        self._root_host = registrable_host(graph.root_url)
+        self._boundary = SiteBoundary(graph.root_url)
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
         base_server = SimulatedServer(graph)
@@ -156,7 +156,7 @@ class CrawlEnvironment:
 
     def in_site(self, url: str) -> bool:
         """Website-boundary test relative to this site's root (Sec. 2.2)."""
-        return host_in_site(self._root_host, url)
+        return self._boundary.contains(url)
 
     # -- ground truth (for oracles and evaluation only) ---------------------
 

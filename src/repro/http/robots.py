@@ -29,8 +29,11 @@ class RobotsPolicy:
 
     def allowed(self, url: str) -> bool:
         """Longest-prefix-match decision; empty Disallow allows all."""
-        path = urlsplit(url).path or "/"
-        query = urlsplit(url).query
+        if not self.allow and not self.disallow:
+            return True
+        parts = urlsplit(url)
+        path = parts.path or "/"
+        query = parts.query
         if query:
             path = f"{path}?{query}"
         best_allow = -1

@@ -9,6 +9,7 @@ Vectors are sparse: parallel ``indices``/``values`` arrays.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from itertools import repeat
@@ -62,6 +63,17 @@ def char_ngrams(text: str, n: int = 2) -> list[str]:
     return [text[i : i + n] for i in range(len(text) - n + 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _bigram_table(seed: int, dim: int) -> np.ndarray:
+    """The index of every ASCII 2-gram under ``(seed, dim)``, built once
+    per process: entry ``[a, b]`` is
+    ``crc32(bytes((a, b)), crc32(f"{seed}:")) % dim`` (128 KiB)."""
+    crc32 = zlib.crc32
+    prefix = crc32(f"{seed}:".encode("utf-8"))
+    entries = (crc32(bytes((a, b)), prefix) % dim for a in range(128) for b in range(128))
+    return np.fromiter(entries, dtype=np.int64, count=128 * 128).reshape(128, 128)
+
+
 def hashed_bow(
     text: str, n: int = 2, dim: int = DEFAULT_DIM, seed: int = 0
 ) -> HashedVector:
@@ -69,11 +81,24 @@ def hashed_bow(
 
     An n-gram's index is ``crc32(f"{seed}:{token}") % dim``: crc32 is
     fast, deterministic across processes, and good enough for feature
-    hashing.  The CRC of the ``"{seed}:"`` prefix is computed once and
-    continued per n-gram, which gives the same value.  ASCII text (every
-    URL) is encoded once and its n-grams are CRC'd as byte slices: one
-    byte per character, so the slices are the n-grams' UTF-8 encodings.
+    hashing.  The 2-grams of ASCII text (every URL the classifier sees)
+    are looked up in the ``(seed, dim)`` :func:`_bigram_table`.  Other
+    n-grams continue the CRC of the ``"{seed}:"`` prefix, computed once,
+    which gives the same value; ASCII text is encoded once and its
+    n-grams are CRC'd as byte slices, one byte per character.
     """
+    if n == 2 and len(text) >= 2 and text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        found = _bigram_table(seed, dim)[codes[:-1], codes[1:]]
+        found.sort()
+        # where each run of equal indices starts, and the end of the last
+        size = found.shape[0]
+        starts = np.empty(size + 1, dtype=bool)
+        starts[0] = starts[size] = True
+        np.not_equal(found[1:], found[:-1], out=starts[1:size])
+        edges = starts.nonzero()[0]
+        run_lengths = (edges[1:] - edges[:-1]).astype(np.float64)
+        return HashedVector(found[edges[:-1]], run_lengths, dim)
     crc32 = zlib.crc32
     prefix = crc32(f"{seed}:".encode("utf-8"))
     if len(text) >= n and text.isascii():

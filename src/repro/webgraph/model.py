@@ -8,6 +8,7 @@ the HTML root to the anchor element in the page containing the link.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -156,6 +157,39 @@ def host_in_site(root_host: str, url: str) -> bool:
     if not root_host or not host:
         return False
     return host == root_host or host.endswith("." + root_host)
+
+
+#: A URL whose authority ``urlsplit`` takes verbatim: a lowercase http(s)
+#: scheme (so no leading C0 control or space for it to strip) and no tab,
+#: CR or LF anywhere (it deletes those before splitting).  Group 1 is the
+#: authority, everything up to the first ``/``, ``?`` or ``#``.
+_VERBATIM_AUTHORITY = re.compile(r"https?://([^/?#\t\n\r]*)[^\t\n\r]*\Z")
+
+
+class SiteBoundary:
+    """The website boundary of one root (Sec. 2.2), memoised per authority.
+
+    ``contains(url)`` is ``same_site(root_url, url)`` for every URL.  The
+    answer depends only on the URL's authority, so a URL whose authority
+    ``urlsplit`` takes verbatim reuses the answer of the first URL with
+    that authority; any other URL is parsed afresh.  A URL that raises
+    is never memoised, so it raises again on the next call.
+    """
+
+    def __init__(self, root_url: str) -> None:
+        self._root_host = registrable_host(root_url)
+        self._by_authority: dict[str, bool] = {}
+
+    def contains(self, url: str) -> bool:
+        match = _VERBATIM_AUTHORITY.match(url)
+        if match is None:
+            return host_in_site(self._root_host, url)
+        authority = match[1]
+        inside = self._by_authority.get(authority)
+        if inside is None:
+            inside = host_in_site(self._root_host, url)
+            self._by_authority[authority] = inside
+        return inside
 
 
 class WebsiteGraph:

@@ -1,6 +1,10 @@
 """Tests for robots.txt parsing, spider traps and polite crawling."""
 
+from urllib.parse import urlsplit
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.crawler import SBConfig, sb_classifier, sb_oracle
 from repro.http.environment import CrawlEnvironment
@@ -64,6 +68,78 @@ def test_query_string_included_in_path_match():
     policy = parse_robots_txt("User-agent: *\nDisallow: /search?\n")
     assert not policy.allowed("https://s.example/search?q=x")
     assert policy.allowed("https://s.example/search-tips")
+
+
+def _two_split_allowed(policy, url):
+    """The rule as it was first written: the URL split once for its path
+    and again for its query, whatever the policy."""
+    path = urlsplit(url).path or "/"
+    query = urlsplit(url).query
+    if query:
+        path = f"{path}?{query}"
+    best_allow = -1
+    best_disallow = -1
+    for rule in policy.allow:
+        if rule and path.startswith(rule):
+            best_allow = max(best_allow, len(rule))
+    for rule in policy.disallow:
+        if rule and path.startswith(rule):
+            best_disallow = max(best_disallow, len(rule))
+    return best_allow >= best_disallow
+
+
+_POLICIES = [
+    parse_robots_txt(SAMPLE),
+    parse_robots_txt(SAMPLE, user_agent="badbot"),
+    parse_robots_txt("User-agent: a\nUser-agent: b\nDisallow: /x/\n", user_agent="b"),
+    parse_robots_txt(""),
+    parse_robots_txt("User-agent: *\nDisallow: /search?\n"),
+    parse_robots_txt("User-agent: *\nAllow: /p\nDisallow: /p/q?\nDisallow: /\n"),
+]
+_ROBOTS_URLS = [
+    "https://www.x.example/internal/search?x=1",
+    "https://www.x.example/tmp/file",
+    "https://www.x.example/data/file.csv",
+    "https://www.x.example/internal/public/doc",
+    "https://s.example/x/page",
+    "https://s.example/anything",
+    "https://s.example/search?q=x",
+    "https://s.example/search-tips",
+]
+
+
+def _answer(allowed, url):
+    try:
+        return allowed(url)
+    except ValueError:
+        return ValueError
+
+
+@given(
+    st.sampled_from(_POLICIES),
+    st.one_of(
+        st.sampled_from(_ROBOTS_URLS),
+        st.builds(
+            "".join,
+            st.lists(
+                st.sampled_from(
+                    ["https://", "s.example", "/", "?", "#", "search", "x", "tmp",
+                     "internal", "public", "p", "q", "=", "[", "]", ":", " "]
+                ),
+                max_size=12,
+            ),
+        ),
+    ),
+)
+@settings(max_examples=300)
+def test_allowed_equals_two_split_rule(policy, url):
+    """One split gives the two-split rule's answer.  A policy without
+    rules allows every URL without parsing it, so only there may a URL
+    that urlsplit rejects be allowed instead of raising."""
+    expected = _answer(lambda u: _two_split_allowed(policy, u), url)
+    if expected is ValueError and not policy.allow and not policy.disallow:
+        expected = True
+    assert _answer(policy.allowed, url) == expected
 
 
 def test_parse_sitemap():

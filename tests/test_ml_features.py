@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.features import char_ngrams, hashed_bow, merge_vectors
+from repro.ml.features import _bigram_table, char_ngrams, hashed_bow, merge_vectors
 
 
 def test_char_ngrams_basic():
@@ -93,9 +93,10 @@ def test_hashed_bow_matches_full_crc_per_ngram(text, n, dim, seed):
 )
 @settings(max_examples=300)
 def test_hashed_bow_ascii_path_matches_char_ngrams_path(text, n, dim, seed):
-    """ASCII text is hashed from byte slices of one encoding; the result
-    equals the per-token char_ngrams formula bit for bit, including
-    texts shorter than n (which take the char_ngrams path)."""
+    """ASCII text is hashed from the 2-gram table (n = 2) or from byte
+    slices of one encoding (other n); the result equals the per-token
+    char_ngrams formula bit for bit, including texts shorter than n
+    (which take the char_ngrams path)."""
     assert text.isascii()
     vector = hashed_bow(text, n=n, dim=dim, seed=seed)
     indices, values = _reference_bow(text, n, dim, seed)
@@ -103,6 +104,49 @@ def test_hashed_bow_ascii_path_matches_char_ngrams_path(text, n, dim, seed):
     assert vector.values.dtype == np.float64
     assert vector.indices.tolist() == indices
     assert vector.values.tolist() == values
+
+
+@given(
+    st.text(alphabet=st.characters(max_codepoint=127), min_size=2, max_size=120),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([97, 1000, 1 << 14, 65536, 70001, 1 << 17]),
+)
+@settings(max_examples=300)
+def test_hashed_bow_bigram_table_matches_full_crc_per_ngram(text, seed, dim):
+    """The 2-grams of ASCII text are looked up in the (seed, dim) table;
+    the vector equals one full crc32 per 2-gram bit for bit, for the
+    classifier's seeds 1-4, dims that are not powers of two and dims
+    above 65536."""
+    vector = hashed_bow(text, n=2, dim=dim, seed=seed)
+    indices, values = _reference_bow(text, 2, dim, seed)
+    assert vector.indices.dtype == np.int64
+    assert vector.values.dtype == np.float64
+    assert vector.indices.tolist() == indices
+    assert vector.values.tolist() == values
+    assert vector.dim == dim
+
+
+def test_bigram_table_built_once_per_seed_and_dim(monkeypatch):
+    """One table per (seed, dim) for the life of the process: 128 x 128
+    CRCs to build it, then no CRC at all per 2-gram."""
+    crc_calls = []
+    real_crc32 = zlib.crc32
+
+    def counting_crc32(data, value=0):
+        crc_calls.append(data)
+        return real_crc32(data, value)
+
+    monkeypatch.setattr(zlib, "crc32", counting_crc32)
+    _bigram_table.cache_clear()
+    for _ in range(3):
+        for seed in (1, 2):
+            hashed_bow("https://x.example/a.csv", dim=999, seed=seed)
+    assert _bigram_table.cache_info().misses == 2
+    assert len(crc_calls) == 2 * (1 + 128 * 128)
+    table = _bigram_table(1, 999)
+    assert table is _bigram_table(1, 999)
+    assert table.dtype == np.int64
+    assert table.nbytes <= 128 * 1024
 
 
 def test_merge_vectors_sums_counts():

@@ -1,6 +1,10 @@
 """Tests for the website graph model and boundary rules (Sec. 2.2)."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.http.client import OffsiteRequestError
 from repro.http.environment import CrawlEnvironment
@@ -69,27 +73,108 @@ _BOUNDARY_URLS = [
     "/relative/path",
     "mailto:someone",
     "",
+    # one authority, many paths: the memo answers all but the first
+    "https://a.example/y?q=1#f",
+    "https://a.example",
+    "https://a.example?q",
+    "https://a.example#f",
+    # authorities urlsplit rewrites or reads another way
+    "http://\ta.example/x",
+    "https://b.exa\nmple.a.example/x",
+    "https://a.example\r.b.example/x",
+    "HTTP://b.example/x",
+    " https://b.example/x",
+    "\x00https://a.example/x",
+    "https://user:pw@b.example@a.example:8080/x",
+    "https://a.example@b.example/x",
+    "https://[::1]:8080/x",
 ]
 
 
-@pytest.mark.parametrize(
-    "root",
-    ["https://www.a.example/", "https://A.EXAMPLE:8080/", "https://cdn.a.example/",
-     "file:///no/host"],
-)
-def test_environment_in_site_equals_same_site(root):
-    """The environment and the client resolve the root host once; their
-    answers must be the per-call same_site rule's for every kind of URL."""
+def _answer(check, url):
+    """``check(url)`` as a comparable value: its result, or ValueError
+    when it raises that."""
+    try:
+        return check(url)
+    except ValueError:
+        return ValueError
+
+
+def _client_in_site(client, url):
+    """The client's boundary check as a bool."""
+    try:
+        client._check_boundary(url)
+    except OffsiteRequestError:
+        return False
+    return True
+
+
+def _assert_boundary_equals_same_site(root, urls):
+    """Ask the environment and the client about every URL twice (memo
+    miss, then memo hit); each answer must be the per-call same_site
+    rule's, raising where it raises."""
     env = CrawlEnvironment(WebsiteGraph(root, name="t"))
     client = env.new_client()
-    for url in _BOUNDARY_URLS:
-        expected = same_site(root, url)
-        assert env.in_site(url) == expected, url
-        if expected:
-            client._check_boundary(url)
-        else:
-            with pytest.raises(OffsiteRequestError):
-                client._check_boundary(url)
+    for _ in range(2):
+        for url in urls:
+            expected = _answer(partial(same_site, root), url)
+            assert _answer(env.in_site, url) == expected, url
+            assert _answer(partial(_client_in_site, client), url) == expected, url
+
+
+_ROOTS = ["https://www.a.example/", "https://A.EXAMPLE:8080/", "https://cdn.a.example/",
+          "file:///no/host", "http://[::1]/"]
+
+
+@pytest.mark.parametrize("root", _ROOTS)
+def test_environment_in_site_equals_same_site(root):
+    """The environment and the client memoise the boundary per authority;
+    their answers must be the per-call same_site rule's for every kind
+    of URL, on the first call and on every repeat."""
+    _assert_boundary_equals_same_site(root, _BOUNDARY_URLS)
+
+
+_HOST_POOL = [
+    "a.example", "www.a.example", "WWW.A.Example", "cdn.a.example", "b.example",
+    "a.example.evil.org", "xa.example", "", "www.", "[::1]", "[fe80::1%25eth0]",
+    "[::1", "::1]", "[v1.x]", "[not-ip]", "]a[", "bücher.a.example", "例え.jp",
+    "a.exam\u2100ple", "\u2100.a.example", "a\uff0fb.example",
+]
+_HOSTS = st.sampled_from(_HOST_POOL)
+#: asked first, so every pool host's authority is already memoised when
+#: a hostile URL that merely starts like it arrives
+_PRIMERS = [f"{scheme}{host}/" for host in _HOST_POOL for scheme in ("http://", "https://")]
+_URL_PARTS = st.text(alphabet="aw.:@/?#%\u2100ü", max_size=6)
+
+
+def _mostly(clean, *hostile):
+    """``clean`` three times in four, else one of ``hostile``."""
+    return st.one_of(st.just(clean), st.just(clean), st.just(clean),
+                     st.sampled_from(hostile))
+
+
+@st.composite
+def _hostile_urls(draw):
+    lead = draw(_mostly("", " ", "\x00", "\x1f", "\t", "\n", " \x01"))
+    scheme = draw(st.sampled_from(["http://", "https://"]))
+    scheme = draw(_mostly(scheme, "HTTP://", "Https://", "//", "", "ftp://", "http:/"))
+    userinfo = draw(_mostly("", "user@", "user:pw@", "@", "a@b@"))
+    port = draw(_mostly("", ":8080", ":", ":x", ":80:90"))
+    url = lead + scheme + userinfo + draw(_HOSTS) + draw(_URL_PARTS) + port
+    url += draw(st.sampled_from(["", "/", "/p", "?q", "#f"])) + draw(_URL_PARTS)
+    cut = draw(st.integers(min_value=0, max_value=len(url)))
+    inserted = draw(_mostly("", "\t", "\r", "\n", "[", "]", " ", "\x00"))
+    return url[:cut] + inserted + url[cut:]
+
+
+@given(st.sampled_from(_ROOTS), st.lists(_hostile_urls(), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_memoised_boundary_equals_same_site_on_hostile_urls(root, urls):
+    """Tabs, CR and LF anywhere, leading spaces and C0 controls, upper-case
+    schemes, userinfo, ports, bracketed or broken IPv6 hosts and
+    non-ASCII authorities: the memo never answers for a URL that
+    urlsplit would read another way."""
+    _assert_boundary_equals_same_site(root, _PRIMERS + urls)
 
 
 def test_subdomain_direction_matters():
