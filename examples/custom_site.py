@@ -1,16 +1,11 @@
 #!/usr/bin/env python3
 """Build a *custom* synthetic website, crawl it for a custom target set
-(CSV files only), and replicate it into a local SQLite database — the
-paper's evaluation infrastructure (Sec. 4.4).
+(CSV files only), and look for statistics tables in what it retrieved.
 
 Run:  python examples/custom_site.py
 """
 
-import tempfile
-from pathlib import Path
-
 from repro import CrawlEnvironment, SBConfig, SiteProfile, generate_site, sb_classifier
-from repro.http.cache import PageStore, ReplicatingFetcher, replicate_site
 from repro.sd.content import TargetContentGenerator
 from repro.sd.detector import count_statistic_tables
 
@@ -57,20 +52,6 @@ def main() -> None:
             with_tables += 1
     print(f"statistics tables found in {with_tables}/{len(sampled)} "
           f"sampled CSV files")
-
-    # 4. Replicate the site into a local database, then crawl fully
-    #    offline from it ("local" mode of the artifact kit).
-    with tempfile.TemporaryDirectory() as tmp:
-        db_path = Path(tmp) / "replica.db"
-        with PageStore(db_path) as store:
-            stored = replicate_site(env.server, store)
-            print(f"\nreplicated {stored} resources into {db_path.name} "
-                  f"({db_path.stat().st_size / 1e6:.1f} MB)")
-            fetcher = ReplicatingFetcher(env.server, store, mode="local")
-            response = fetcher.get(graph.root_url)
-            print(f"offline fetch of root: HTTP {response.status}, "
-                  f"{len(response.body)} bytes, 0 live requests "
-                  f"(n_live_fetches={fetcher.n_live_fetches})")
 
 
 if __name__ == "__main__":

@@ -40,18 +40,6 @@ def _figure7(config: ExperimentConfig, cache: ResultCache):
     return compute_figure4(config, cache, sites=remaining)
 
 
-def _campaignmatrix(config: ExperimentConfig, cache: ResultCache):
-    from repro.experiments.campaignmatrix import compute_campaign_matrix
-    from repro.webgraph.sites import PAPER_SITES
-
-    # The CLI verb runs the paper's full 18-site campaign (the
-    # acquisition workload the engine exists for); library callers and
-    # tests pass their own smaller site sets.
-    return compute_campaign_matrix(
-        config, cache, sites=tuple(sorted(PAPER_SITES))
-    )
-
-
 EXPERIMENTS = {
     "table1": lambda config, cache: compute_table1(cache=cache),
     "table2": compute_table2,
@@ -65,7 +53,6 @@ EXPERIMENTS = {
     "figure7": _figure7,
     "figure15": lambda config, cache: compute_figure15("in", config, cache),
     "faultmatrix": compute_fault_matrix,
-    "campaignmatrix": _campaignmatrix,
 }
 
 

@@ -60,9 +60,6 @@ class ActionSpace:
     def n_actions(self) -> int:
         return self._next_id
 
-    def action_ids(self) -> list[int]:
-        return list(self._stats)
-
     def stats(self, action_id: int) -> ActionStats:
         return self._stats[action_id]
 

@@ -92,9 +92,6 @@ class SleepingBandit:
 
     # -- analyses (Sec. 4.7) --------------------------------------------
 
-    def mean_rewards(self) -> dict[int, float]:
-        return {a: s.mean_reward for a, s in self.arms.items()}
-
     def nonzero_reward_stats(self) -> tuple[float, float]:
         """Mean and STD over arms with non-zero mean reward (Table 6)."""
         values = [s.mean_reward for s in self.arms.values() if s.mean_reward > 0.0]

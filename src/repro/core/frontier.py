@@ -223,11 +223,6 @@ class Frontier:
         """Number of awake actions (the ``actions_awake`` gauge)."""
         return self._n_awake
 
-    def action_sizes(self) -> dict[int, int]:
-        """Unvisited-URL count per awake action, for frontier-shape
-        reports; insertion order (deterministic), empty pools omitted."""
-        return {a: len(p) for a, p in self._pools.items() if len(p) > 0}
-
     def action_of(self, url: str) -> int | None:
         return self._url_action.get(url)
 

@@ -39,15 +39,6 @@ class Table6Result:
             ],
         )
 
-    def heavy_tail_sites(self) -> list[str]:
-        """Sites where reward STD exceeds the mean (the paper's argument
-        that rewards are not normally distributed)."""
-        return [
-            site
-            for site, mean, std in zip(self.sites, self.means, self.stds)
-            if std > mean > 0
-        ]
-
 
 def compute_table6(
     config: ExperimentConfig | None = None,

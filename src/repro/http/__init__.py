@@ -20,7 +20,6 @@ from repro.http.faults import (
 )
 from repro.http.client import HttpClient, RetryPolicy
 from repro.http.environment import CrawlEnvironment
-from repro.http.cache import PageStore, ReplicatingFetcher
 
 __all__ = [
     "Response",
@@ -35,6 +34,4 @@ __all__ = [
     "HttpClient",
     "RetryPolicy",
     "CrawlEnvironment",
-    "PageStore",
-    "ReplicatingFetcher",
 ]

@@ -3,8 +3,8 @@
 The paper uses two cost functions ω (Sec. 2.2): request count (each
 GET or HEAD costs 1) and received data volume.  The ledger tracks both
 simultaneously, split into target and non-target volume (needed for the
-Table 3 metric), plus an estimate of wall-clock time under a politeness
-delay — the paper's Sec. 4.4 derives times from requests + bandwidth.
+Table 3 metric), plus the retries and simulated wait time of fault
+handling.
 """
 
 from __future__ import annotations
@@ -56,21 +56,6 @@ class CostLedger:
         if seconds < 0:
             raise ValueError("wait time cannot be negative")
         self.wait_seconds += seconds
-
-    def estimated_seconds(
-        self, politeness_delay: float = 1.0, bandwidth_bps: float = 10e6
-    ) -> float:
-        """Estimated crawl duration: politeness waits + transfer time +
-        simulated retry/latency waits.
-
-        Crawling ethics require ~1 s between successive requests; volume
-        transfers at ``bandwidth_bps`` bytes/second.
-        """
-        return (
-            self.n_requests * politeness_delay
-            + self.bytes_total / bandwidth_bps
-            + self.wait_seconds
-        )
 
     def merge(self, other: "CostLedger") -> "CostLedger":
         """Fold ``other`` into this ledger (campaign shard aggregation).

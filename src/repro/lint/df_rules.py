@@ -39,7 +39,7 @@ SAMPLING_FUNCS = frozenset({
 })
 
 #: Constructors whose result is an open resource DF002 tracks.
-RESOURCE_CONSTRUCTORS = frozenset({"open", "JsonlSink", "WarcWriter"})
+RESOURCE_CONSTRUCTORS = frozenset({"open", "JsonlSink"})
 
 #: Method names that release a tracked resource.
 CLOSE_METHODS = frozenset({"close", "__exit__"})
@@ -263,14 +263,14 @@ class _OpenResources(ForwardAnalysis):
 
 
 class ResourceLeakRule(DataflowRule):
-    """DF002 — a locally opened sink/file/WARC writer must be closed on
-    every path out of the function.
+    """DF002 — a locally opened sink or file must be closed on every
+    path out of the function.
 
-    A ``JsonlSink`` or ``WarcWriter`` leaked on an early return or
-    exception path holds a buffered file handle: events written near the
-    end of a crawl silently vanish, and the trace-replay gate diffs a
-    truncated file.  Tracking stops when ownership escapes (the handle
-    is returned, yielded, passed to a callee or stored on an object) —
+    A ``JsonlSink`` or file leaked on an early return or exception path
+    holds a buffered file handle: events written near the end of a
+    crawl silently vanish, and the trace-replay gate diffs a truncated
+    file.  Tracking stops when ownership escapes (the handle is
+    returned, yielded, passed to a callee or stored on an object) —
     whoever received it owns the close.  ``with`` blocks never trip the
     rule; that is the preferred fix.
     """

@@ -18,7 +18,7 @@ from repro.lint.engine import FileContext, Rule
 #: the incremental cache (`repro.lint.cache`) cannot serve findings
 #: computed by an older rule set.  The active rule codes and the config
 #: digest are mixed into the cache key separately.
-RULESET_VERSION = "2026.10-7"
+RULESET_VERSION = "2026.10-8"
 
 
 def _dotted_name(node: ast.AST) -> str:

@@ -29,7 +29,11 @@ from repro.obs.metrics import MetricsObserver, MetricsRegistry
 def trace_from_events(
     events: Iterable[CrawlEvent], crawler: str = "", site: str = ""
 ) -> CrawlTrace:
-    """Rebuild the request trace from the FetchEvents of a stream."""
+    """Rebuild the request trace from the FetchEvents of a stream.
+
+    The kernel stops right after the step whose ``early_stop`` event
+    fires, so the fetches seen by then are ``stopped_early_at``.
+    """
     trace = CrawlTrace(crawler=crawler, site=site)
     for event in events:
         if isinstance(event, FetchEvent):
@@ -42,6 +46,8 @@ def trace_from_events(
                     is_target=event.is_target,
                 )
             )
+        elif isinstance(event, EarlyStopTriggered):
+            trace.stopped_early_at = len(trace.records)
     return trace
 
 

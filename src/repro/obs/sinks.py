@@ -1,8 +1,7 @@
 """Event sinks: in-memory capture and JSONL persistence.
 
 The JSONL wire format (one header line, then one event per line) is
-specified in docs/observability.md and mirrors
-``repro.analysis.trace_io``:
+specified in docs/observability.md:
 
 * line 1 — header: ``{"format": 1, "stream": "repro.obs", ...meta}``;
 * lines 2..n — events: ``{"e": "<kind>", ...fields}`` with compact

@@ -53,14 +53,12 @@ class EvolvingSite:
         self._rng = derive_rng(seed, "evolution", graph.name)
         self._states: dict[str, _PageState] = {}
         self._new_target_counter = 0
-        self._catalog_urls: list[str] = []
 
         target_urls = graph.target_urls()
         catalogs = [
             p for p in graph.html_pages()
             if any(l.url in target_urls for l in p.links)
         ]
-        self._catalog_urls = [p.url for p in catalogs]
         # Heavy-tailed edit rates: lognormal, median well below 1/epoch.
         for page in graph.html_pages():
             rng = derive_rng(seed, "rates", page.url)
@@ -82,9 +80,6 @@ class EvolvingSite:
     def version(self, url: str) -> int:
         state = self._states.get(url)
         return state.version if state is not None else 0
-
-    def catalog_urls(self) -> list[str]:
-        return list(self._catalog_urls)
 
     def new_targets_since(self, time: float) -> set[str]:
         return {

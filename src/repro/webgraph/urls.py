@@ -150,9 +150,6 @@ class UrlFactory:
         self._used.add(url)
         return url
 
-    def pick_language(self) -> str:
-        return self._rng.choice(list(self.languages))
-
     def section_url(self, language: str, section_slug: str) -> str:
         prefix = self._lang_prefix(language)
         if self.style == "query":

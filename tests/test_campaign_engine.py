@@ -21,10 +21,14 @@ from repro.campaign import (
     SerialBackend,
     ShardTask,
     assign_virtual_times,
+    dispatch_order,
+    merge_outcomes,
     partition_sites,
     run_campaign,
     run_shard,
+    shard_tasks,
     site_seed,
+    site_weights,
 )
 from repro.baselines import CRAWLER_NAMES
 from repro.obs import MemorySink
@@ -190,6 +194,49 @@ def test_render_is_deterministic(serial_report):
     text = report.render()
     assert "campaign:" in text and "digest" in text
     assert report.render() == text
+
+
+# -- worker-count sweep by re-merging --------------------------------------
+
+WORKER_COUNTS = (1, 2, 4)
+
+
+@pytest.fixture(scope="module")
+def crawled_shards():
+    """One serial BFS campaign, crawled once for every re-merge below."""
+    spec = CampaignSpec(sites=("cl", "qa"), crawler="BFS", seed=1,
+                        scale=0.05, n_shards=max(WORKER_COUNTS))
+    partitions = partition_sites(list(spec.sites), spec.n_shards,
+                                 weights=site_weights(spec.sites))
+    order = dispatch_order(spec, partitions)
+    outcomes = SerialBackend().run_tasks(shard_tasks(spec, partitions, order))
+    return spec, partitions, order, outcomes
+
+
+def _remerge(crawled_shards, n_workers):
+    spec, partitions, order, outcomes = crawled_shards
+    config = {"sites": sorted(spec.sites), "crawler": spec.crawler,
+              "seed": spec.seed, "scale": spec.scale, "budget": None,
+              "n_shards": len(partitions), "n_workers": n_workers,
+              "politeness_delay": spec.politeness_delay}
+    return merge_outcomes(outcomes, partitions, order, config=config,
+                          n_workers=n_workers,
+                          politeness_delay=spec.politeness_delay)
+
+
+def test_more_workers_never_lengthen_the_makespan(crawled_shards):
+    reports = [_remerge(crawled_shards, w) for w in WORKER_COUNTS]
+    makespans = [r.makespan_seconds for r in reports]
+    assert makespans == sorted(makespans, reverse=True)
+    speedups = [r.speedup for r in reports]
+    assert speedups[0] == 1.0
+    assert all(b >= a for a, b in zip(speedups, speedups[1:]))
+
+
+def test_remerge_at_the_same_worker_count_is_deterministic(crawled_shards):
+    for w in WORKER_COUNTS:
+        assert (_remerge(crawled_shards, w).digest
+                == _remerge(crawled_shards, w).digest)
 
 
 # -- backend equivalence ---------------------------------------------------

@@ -9,7 +9,7 @@ def test_all_experiments_registered():
     expected = {
         "table1", "table2", "table3", "table4", "table5", "table6",
         "table7", "figure4", "figure5", "figure7", "figure15",
-        "faultmatrix", "campaignmatrix",
+        "faultmatrix",
     }
     assert set(EXPERIMENTS) == expected
 

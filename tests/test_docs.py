@@ -74,6 +74,33 @@ def test_api_doc_covers_top_level_exports():
         assert name in api, f"{name} missing from docs/api.md"
 
 
+def test_api_doc_rows_name_what_exists():
+    """Reverse drift gate: each docs/api.md row whose Module cell is a
+    single backticked ``repro.…`` path (no ``*``) names a module that
+    imports, and every plain identifier in its first cell is an
+    attribute of that module."""
+    import importlib
+    import re
+
+    n_rows = 0
+    for line in (REPO / "docs" / "api.md").read_text().splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) < 2:
+            continue
+        paths = re.findall(r"`(repro[^`]*)`", cells[1])
+        if (len(paths) != 1 or not cells[1].startswith(f"`{paths[0]}`")
+                or "*" in paths[0]):
+            continue
+        n_rows += 1
+        module = importlib.import_module(paths[0])
+        for token in re.findall(r"`([^`]+)`", cells[0]):
+            name = re.sub(r"\(.*\)$", "", token)
+            if name.isidentifier():
+                assert hasattr(module, name), (
+                    f"docs/api.md: {paths[0]} has no {name}")
+    assert n_rows > 30
+
+
 def _python_blocks(markdown: str) -> list[str]:
     """The contents of every ```python fenced block, in order."""
     blocks = []

@@ -23,14 +23,6 @@ def test_unknown_method_rejected():
         CostLedger().record("POST", 10, False)
 
 
-def test_estimated_seconds_politeness_dominated():
-    ledger = CostLedger()
-    for _ in range(100):
-        ledger.record("GET", 10_000, False)
-    # 100 requests at 1 s politeness + 1 MB at 10 MB/s = 100.1 s
-    assert abs(ledger.estimated_seconds() - 100.1) < 1e-6
-
-
 def test_snapshot_is_independent():
     ledger = CostLedger()
     ledger.record("GET", 10, False)

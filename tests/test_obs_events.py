@@ -4,7 +4,13 @@ JSONL trace round-trips, replay reconstructs the originating
 
 import pytest
 
-from repro import CrawlEnvironment, SBConfig, load_paper_site, sb_classifier
+from repro import (
+    CrawlEnvironment,
+    SBConfig,
+    generate_site,
+    load_paper_site,
+    sb_classifier,
+)
 from repro.baselines.simple import BFSCrawler
 from repro.core.early_stopping import EarlyStoppingMonitor
 from repro.obs import (
@@ -23,6 +29,7 @@ from repro.obs import (
 from repro.obs.__main__ import main as obs_main
 from repro.obs.events import EarlyStopTriggered
 from repro.obs.report import harvest_rate_curve, regret_curve
+from tests.conftest import make_profile
 
 SITE, SCALE, SEED, BUDGET = "ju", 0.1, 1, 200
 
@@ -213,3 +220,22 @@ def test_early_stopping_monitor_emits_event():
     assert event.step == 3
     assert event.window == 1
     assert event.patience == 2
+
+
+def test_early_stopped_crawl_round_trips_through_jsonl(tmp_path):
+    """A JSONL event trace rebuilds the request trace of an early-stopped
+    crawl exactly, ``stopped_early_at`` included."""
+    env = CrawlEnvironment(generate_site(
+        make_profile(name="deepsite", n_pages=400, target_depth_mean=12.0)))
+    path = tmp_path / "run.jsonl"
+    with JsonlSink(path) as sink:
+        result = sb_classifier(SBConfig(
+            seed=2, early_stopping=True, es_window=10, es_threshold=1.0,
+            es_decay=0.3, es_patience=2, observer=sink)).crawl(env)
+    assert result.stopped_early
+    assert result.trace.stopped_early_at is not None
+
+    _, events = read_events(path)
+    trace = trace_from_events(events)
+    assert trace.records == result.trace.records
+    assert trace.stopped_early_at == result.trace.stopped_early_at
