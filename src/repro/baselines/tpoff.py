@@ -60,8 +60,9 @@ class TPOffCrawler(Crawler):
     # -- frontier ---------------------------------------------------------
 
     def start(self, kernel) -> None:
-        self._vectorizer = TagPathVectorizer(n=self.ngram_n)
-        self._actions = ActionSpace(self._vectorizer, theta=self.theta, seed=self.seed)
+        self._actions = ActionSpace(
+            TagPathVectorizer(n=self.ngram_n), theta=self.theta, seed=self.seed
+        )
         # oracle access, bootstrap phase only
         self._target_urls = kernel.env.target_urls()
         #: bootstrap frontier: FIFO of (url, group of the inbound link)
@@ -140,7 +141,6 @@ class TPOffCrawler(Crawler):
             ],
             "fetched_html": self._fetched_html,
             "actions": self._actions.snapshot_state(),
-            "vectorizer": self._vectorizer.snapshot_state(),
         }
 
     def restore_policy(self, kernel, components: dict) -> None:
@@ -153,4 +153,3 @@ class TPOffCrawler(Crawler):
         self._benefit_count = {g: n for g, _, n in components["benefits"]}
         self._fetched_html = components["fetched_html"]
         self._actions.restore_state(components["actions"])
-        self._vectorizer.restore_state(components["vectorizer"])

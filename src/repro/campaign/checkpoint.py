@@ -7,8 +7,7 @@ The durable-state layout under a campaign checkpoint directory is::
                                     engine after collection)
     <dir>/shard-000/                shard-progress payloads (completed
                                     sites of shard 0, written by the
-                                    worker after every site) and
-                                    shard-interrupted markers
+                                    worker after every site)
     <dir>/shard-000/site-<name>/    mid-crawl snapshots of the site the
                                     worker was crawling when stopped
 
@@ -30,7 +29,6 @@ from repro.obs.metrics import MetricsRegistry
 #: payload kinds written by the campaign layer
 SHARD_PROGRESS_KIND = "shard-progress"
 SHARD_OUTCOME_KIND = "shard-outcome"
-SHARD_INTERRUPTED_KIND = "shard-interrupted"
 
 
 def shard_store(directory: str | Path, shard_id: int) -> CheckpointStore:
@@ -161,9 +159,3 @@ def payload_to_shard_outcome(payload: dict):
         metrics=metrics,
     )
 
-
-def interrupted_marker_payload(shard_id: int) -> dict:
-    """Marker the multiprocessing interrupt path writes for a shard it
-    terminated before collection — records that the shard's on-disk
-    progress is the authoritative resume point."""
-    return {"kind": SHARD_INTERRUPTED_KIND, "shard_id": shard_id}

@@ -385,26 +385,8 @@ class MultiprocessingBackend:
                 pool.terminate()
                 collected = {o.shard_id for o in outcomes}
                 for t in tasks:
-                    if t.shard_id in collected:
-                        continue
-                    if t.checkpoint_dir is not None:
-                        # Durable interrupt: stamp the shard store so a
-                        # resume knows this shard's on-disk progress
-                        # (periodic mid-site snapshots plus per-site
-                        # progress) is the authoritative restart point.
-                        self._write_interrupt_marker(t)
-                    outcomes.append(interrupted_outcome(t.shard_id))
+                    if t.shard_id not in collected:
+                        outcomes.append(interrupted_outcome(t.shard_id))
         finally:
             pool.join()
         return outcomes
-
-    @staticmethod
-    def _write_interrupt_marker(task: ShardTask) -> None:
-        from repro.campaign.checkpoint import (
-            interrupted_marker_payload,
-            shard_store,
-        )
-
-        shard_store(task.checkpoint_dir, task.shard_id).write_checkpoint(
-            interrupted_marker_payload(task.shard_id)
-        )

@@ -6,7 +6,7 @@ Checkpoints follow the same byte-discipline as the campaign report
 paths.  Two invariants keep payloads digest-stable:
 
 * **No int-keyed dicts.**  JSON silently stringifies non-string keys;
-  ordered associations (bandit arms, frontier pools, HNSW nodes) are
+  ordered associations (bandit arms, frontier pools, benefit sums) are
   encoded as lists of pairs so insertion order — which fixes
   float-summation order after restore — survives the round trip.
 * **Exact numerics.**  ``random.Random`` states round-trip as plain
@@ -29,7 +29,7 @@ import numpy as np
 
 #: bump when the payload layout changes incompatibly; loaders reject
 #: checkpoints written under a different schema instead of guessing
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: unsigned view of each itemsize a sparse array encoding handles
 _BIT_PATTERN = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}

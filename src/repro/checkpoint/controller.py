@@ -106,13 +106,11 @@ class CrawlCheckpointer:
         every: int = 0,
         flag: ShutdownFlag | None = None,
         interrupt_at: int | None = None,
-        keep: int = 2,
     ) -> None:
         self.store = store
         self.every = every
         self.flag = flag
         self.interrupt_at = interrupt_at
-        self.keep = keep
         self.extras: dict[str, object] = {}
         self.step = 0
         self.last_payload: dict | None = None
@@ -145,7 +143,7 @@ class CrawlCheckpointer:
         self.last_payload = payload
         path = self.store.write_checkpoint(payload, step=self.step)
         self._last_saved_step = self.step
-        self.store.prune_old(keep=max(self.keep, 2))
+        self.store.prune_old(keep=2)
         return path
 
     def tick(self, build_payload: Callable[[], dict]) -> None:

@@ -1,11 +1,12 @@
 """The ``Checkpointable`` protocol: snapshot/restore for crawl state.
 
 Every stateful component that participates in durable checkpoints —
-frontier, bandits, classifier and its models, HNSW index, tag-path
-vectorizer, early-stopping monitor, cost ledger, HTTP client, metrics
-— implements the same two methods.  The names avoid ``snapshot()``
-because :meth:`repro.http.ledger.CostLedger.snapshot` already means
-"defensive copy".
+frontier, bandits, classifier and its models, action space (which
+replays the tag paths it was given), early-stopping monitor, cost
+ledger, HTTP client, metrics — implements the same two methods.  The
+names avoid ``snapshot()`` because
+:meth:`repro.http.ledger.CostLedger.snapshot` already means "defensive
+copy".
 
 Contract (enforced by the hypothesis round-trip tests):
 

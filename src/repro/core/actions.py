@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checkpoint.codec import Log
+from repro.checkpoint.store import CheckpointError
 from repro.core.hnsw import HnswIndex
 from repro.core.tagpath import TagPathVectorizer
 
@@ -53,6 +55,9 @@ class ActionSpace:
         #: cache: identical tag-path strings always map to the same action,
         #: saving the ANN query for the (very common) repeated layouts.
         self._exact_cache: dict[str, int] = {}
+        #: every tag path given to :meth:`assign`, cache hits included
+        #: (they advance ``n_members``): the checkpointed state
+        self._assigned: list[str] = []
 
     # -- accessors ---------------------------------------------------------
 
@@ -70,6 +75,7 @@ class ActionSpace:
 
     def assign(self, tag_path: str) -> int:
         """Map a link's tag path to an action (creating one if needed)."""
+        self._assigned.append(tag_path)
         cached = self._exact_cache.get(tag_path)
         if cached is not None:
             stats = self._stats[cached]
@@ -111,34 +117,19 @@ class ActionSpace:
     # -- checkpointing (repro.checkpoint) --------------------------------
 
     def snapshot_state(self) -> dict:
-        """Cluster metadata and the exact-string cache in insertion
-        order, plus the full HNSW index (the shared vectorizer is
-        snapshotted separately by the crawler)."""
-        return {
-            "next_id": self._next_id,
-            "stats": [
-                [s.action_id, s.n_members, s.example_tag_path]
-                for s in self._stats.values()
-            ],
-            "exact_cache": [
-                [tag_path, action_id]
-                for tag_path, action_id in self._exact_cache.items()
-            ],
-            "index": self.index.snapshot_state(),
-        }
+        """Every tag path :meth:`assign` was given, in order.  The space
+        (vocabulary, HNSW graph and level RNG included) is a pure
+        function of that list and the constructor arguments, and the
+        list only grows, so the store journals its new tail."""
+        return {"assigned": Log(self._assigned)}
 
     def restore_state(self, state: dict) -> None:
-        self._next_id = state["next_id"]
-        self._stats = {
-            action_id: ActionStats(
-                action_id=action_id,
-                n_members=n_members,
-                example_tag_path=example_tag_path,
+        """Replay the assigned tag paths into this freshly built space;
+        a space or vectorizer that has already seen a path would replay
+        onto the wrong state, so it raises."""
+        if self._assigned or self.vectorizer.vocabulary_size:
+            raise CheckpointError(
+                "an action space restores only before its first assign"
             )
-            for action_id, n_members, example_tag_path in state["stats"]
-        }
-        self._exact_cache = {
-            tag_path: action_id
-            for tag_path, action_id in state["exact_cache"]
-        }
-        self.index.restore_state(state["index"])
+        for tag_path in state["assigned"]:
+            self.assign(tag_path)

@@ -101,11 +101,11 @@ class SBCrawler(Crawler):
     def start(self, kernel: CrawlKernel) -> None:
         config = self.config
         env = kernel.env
-        self._vectorizer = TagPathVectorizer(
-            n=config.ngram_n, m=config.m, w=config.w, prime=config.prime
-        )
         self._actions = ActionSpace(
-            self._vectorizer, theta=config.theta, seed=config.seed
+            TagPathVectorizer(
+                n=config.ngram_n, m=config.m, w=config.w, prime=config.prime
+            ),
+            theta=config.theta, seed=config.seed,
         )
         self._bandit: SleepingBandit = make_bandit(
             config.bandit_policy, alpha=config.alpha,
@@ -273,7 +273,6 @@ class SBCrawler(Crawler):
             "frontier": self._frontier.snapshot_state(),
             "bandit": self._bandit.snapshot_state(),
             "actions": self._actions.snapshot_state(),
-            "vectorizer": self._vectorizer.snapshot_state(),
             "classifier": (
                 self._classifier.snapshot_state()
                 if isinstance(self._classifier, OnlineUrlClassifier)
@@ -293,7 +292,6 @@ class SBCrawler(Crawler):
         self._frontier.restore_state(parts["frontier"])
         self._bandit.restore_state(parts["bandit"])
         self._actions.restore_state(parts["actions"])
-        self._vectorizer.restore_state(parts["vectorizer"])
         if parts["classifier"] is not None:
             if not isinstance(self._classifier, OnlineUrlClassifier):
                 raise CheckpointError(

@@ -207,40 +207,3 @@ class HnswIndex:
 
     def vector(self, key: int) -> np.ndarray:
         return self._vectors[key]
-
-    # -- checkpointing (repro.checkpoint) --------------------------------
-
-    def snapshot_state(self) -> dict:
-        """Nodes in insertion order with bit-exact vectors and verbatim
-        neighbour lists (beam-search tie-breaking depends on list
-        order); norms are recomputed on restore from the same bytes."""
-        from repro.checkpoint.codec import encode_array, encode_rng_state
-
-        return {
-            "rng": encode_rng_state(self._rng),
-            "entry_point": self._entry_point,
-            "max_level": self._max_level,
-            "nodes": [
-                [
-                    key,
-                    encode_array(self._vectors[key]),
-                    [list(level) for level in self._links[key]],
-                ]
-                for key in self._vectors
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        from repro.checkpoint.codec import decode_array, decode_rng_state
-
-        self._vectors = {}
-        self._norms = {}
-        self._links = {}
-        for key, vector_payload, links in state["nodes"]:
-            vector = decode_array(vector_payload)
-            self._vectors[key] = vector
-            self._norms[key] = float(np.linalg.norm(vector))
-            self._links[key] = [list(level) for level in links]
-        self._entry_point = state["entry_point"]
-        self._max_level = state["max_level"]
-        self._rng.setstate(decode_rng_state(state["rng"]))

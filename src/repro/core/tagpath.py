@@ -145,22 +145,3 @@ class TagPathVectorizer:
         occupied = self._bucket_sizes > 0
         projected[occupied] /= self._bucket_sizes[occupied]
         return projected
-
-    # -- checkpointing (repro.checkpoint) --------------------------------
-
-    def snapshot_state(self) -> dict:
-        """The vocabulary n-grams in position order are the *whole*
-        mutable state: bucket assignments and sizes re-derive from
-        :func:`projection_hash`, and the path cache is a memo whose
-        presence is bit-invisible (class docstring), so it is dropped."""
-        return {
-            "vocabulary": [list(ngram) for ngram in self._vocabulary],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._vocabulary = {}
-        self._position_bucket = []
-        self._bucket_sizes = np.zeros(self.dim, dtype=np.float64)
-        self._path_cache = {}
-        for ngram in state["vocabulary"]:
-            self._position(tuple(ngram))

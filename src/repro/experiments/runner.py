@@ -116,9 +116,9 @@ class ResultCache:
         sb_config: SBConfig | None = None,
         config_key: str = "default",
     ) -> list[CrawlResult]:
-        """One run per seed for stochastic crawlers, one total otherwise."""
-        if crawler_name in ("BFS", "DFS", "TP-OFF", "OMNISCIENT", "FOCUSED"):
-            seeds = seeds[:1]  # deterministic crawlers: one run suffices
+        """One run per seed for crawlers that take one, one total otherwise."""
+        if crawler_name in ("BFS", "DFS", "OMNISCIENT"):
+            seeds = seeds[:1]  # make_crawler builds these without a seed
         return [
             self.run(site, crawler_name, seed=s, sb_config=sb_config,
                      config_key=config_key)

@@ -21,7 +21,9 @@ from repro.checkpoint import (
     CrawlInterrupted,
     canonical_json,
 )
+from repro.core.actions import ActionSpace
 from repro.core.crawler import SBConfig, sb_classifier
+from repro.core.tagpath import TagPathVectorizer
 from repro.http.environment import CrawlEnvironment
 from repro.webgraph.sites import load_paper_site
 
@@ -91,6 +93,29 @@ def test_sb_resume_past_classifier_warm_up_is_byte_identical(tmp_path):
     assert classifier["n_batches_trained"] >= 40
     assert classifier["replay"] == {"vectors": [], "labels": []}
     resumed = CrawlCheckpointer(store=store, every=50)
+    resumed.arm_resume(store.read_latest())
+    assert _fingerprint(run(resumed)) == reference
+
+
+def test_sb_resume_replays_a_multi_level_action_space(tmp_path):
+    """``ed``'s unique-id DOM noise yields many distinct tag paths: at
+    step 20 the action space holds more than M = 8 actions, so the
+    resume rebuilds a multi-level HNSW graph from the replayed paths."""
+    def run(checkpoint=None):
+        env = CrawlEnvironment(load_paper_site("ed", scale=0.05))
+        return sb_classifier(SBConfig(seed=3)).crawl(
+            env, budget=150, checkpoint=checkpoint
+        )
+
+    reference = _fingerprint(run())
+    store = CheckpointStore(tmp_path)
+    with pytest.raises(CrawlInterrupted):
+        run(CrawlCheckpointer(store=store, every=7, interrupt_at=20))
+    replayed = ActionSpace(TagPathVectorizer(), seed=3)
+    replayed.restore_state(store.read_latest().payload["components"]["actions"])
+    assert replayed.n_actions > replayed.index.M
+    assert replayed.index._max_level >= 1
+    resumed = CrawlCheckpointer(store=store, every=7)
     resumed.arm_resume(store.read_latest())
     assert _fingerprint(run(resumed)) == reference
 

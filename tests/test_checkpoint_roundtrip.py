@@ -109,77 +109,70 @@ def test_stochastic_bandits_roundtrip_and_continuation(rewards, seed, policy):
         assert restored.select(awake, t=t) == bandit.select(awake, t=t)
 
 
-# -- tag-path vectorizer + HNSW + action space ---------------------------
+# -- action space (vectorizer and HNSW index replayed) -------------------
 
 
-_PATHS = st.lists(
-    st.lists(st.sampled_from(["html", "body", "div", "ul", "li", "a"]),
-             min_size=1, max_size=5).map(lambda parts: "/".join(parts)),
-    max_size=30,
+_DISTINCT_PATHS = st.lists(
+    st.lists(
+        st.sampled_from(["html", "body", "div", "div#main", "ul", "li",
+                         "a", "nav", "p.note", "span"]),
+        min_size=1, max_size=6,
+    ).map(" ".join),
+    min_size=40, max_size=70, unique=True,
 )
 
 
-@FEW
-@given(paths=_PATHS)
-def test_vectorizer_roundtrip(paths):
+def _space(theta):
+    from repro.core.actions import ActionSpace
     from repro.core.tagpath import TagPathVectorizer
 
-    vec = TagPathVectorizer(n=2, m=6)
-    for path in paths:
-        vec.project(path)
-    restored = _roundtrip(vec, TagPathVectorizer(n=2, m=6))
-    # vocabulary growth continues identically: a new path hashes the same
-    probe = "html/body/div/a"
-    assert (restored.project(probe) == vec.project(probe)).all()
-    assert restored.vocabulary_size == vec.vocabulary_size
+    return ActionSpace(TagPathVectorizer(n=2, m=6), theta=theta)
 
 
 @FEW
 @given(
-    n_vectors=st.integers(0, 12),
-    seed=st.integers(0, 3),
-    data_seed=st.integers(0, 100),
+    paths=_DISTINCT_PATHS,
+    theta=st.sampled_from([0.3, 0.75, 0.95]),
+    data=st.data(),
 )
-def test_hnsw_roundtrip_and_continuation(n_vectors, seed, data_seed):
-    import numpy as np
-
-    from repro.core.hnsw import HnswIndex
-
-    rng = np.random.default_rng(data_seed)
-    index = HnswIndex(dim=8, seed=seed)
-    for key in range(n_vectors):
-        index.insert(key, rng.standard_normal(8))
-    restored = _roundtrip(index, HnswIndex(dim=8, seed=seed))
-    # level-assignment RNG continues identically: inserting the same new
-    # vector into both indexes yields identical link structure
-    extra = rng.standard_normal(8)
-    index.insert(1000, extra)
-    restored.insert(1000, extra)
-    assert canonical_json(restored.snapshot_state()) == canonical_json(
-        index.snapshot_state()
-    )
-    if n_vectors:
-        query = rng.standard_normal(8)
-        assert restored.search(query, k=3) == index.search(query, k=3)
-
-
-@FEW
-@given(paths=_PATHS, theta=st.sampled_from([0.3, 0.75, 0.95]))
-def test_action_space_roundtrip(paths, theta):
-    from repro.core.actions import ActionSpace
-    from repro.core.tagpath import TagPathVectorizer
-
-    space = ActionSpace(TagPathVectorizer(n=2, m=6), theta=theta)
-    for path in paths:
+def test_action_space_roundtrip(paths, theta, data):
+    """The snapshot is the tag paths assigned so far, repeats included;
+    a fresh space that replays them rebuilds the vocabulary, the HNSW
+    graph and its level RNG, so both spaces continue identically."""
+    repeats = data.draw(st.lists(st.sampled_from(paths), max_size=20))
+    sequence = data.draw(st.permutations(paths + repeats))
+    step = data.draw(st.integers(0, len(sequence)))
+    space = _space(theta)
+    for path in sequence[:step]:
         space.assign(path)
-    # the crawler checkpoints the vectorizer separately, so restore both
-    # before asking the restored space to continue
-    fresh = ActionSpace(TagPathVectorizer(n=2, m=6), theta=theta)
-    fresh.vectorizer.restore_state(
-        json.loads(canonical_json(space.vectorizer.snapshot_state()))
-    )
-    restored = _roundtrip(space, fresh)
-    assert restored.assign("html/body/a") == space.assign("html/body/a")
+    restored = _roundtrip(space, _space(theta))
+    for path in sequence[step:]:
+        assert restored.assign(path) == space.assign(path)
+    assert restored.n_actions == space.n_actions
+    assert restored.vectorizer.vocabulary_size == space.vectorizer.vocabulary_size
+    for action_id in range(space.n_actions):
+        assert restored.stats(action_id) == space.stats(action_id)
+        assert (restored.centroid(action_id).tobytes()
+                == space.centroid(action_id).tobytes())
+
+
+def test_action_space_restores_only_before_its_first_assign():
+    """Replaying onto a space or vectorizer that has already seen a path
+    would rebuild the wrong state, so restore refuses."""
+    from repro.checkpoint import CheckpointError
+    from repro.core.actions import ActionSpace
+
+    space = _space(0.75)
+    space.assign("html body a")
+    snapshot = json.loads(canonical_json(space.snapshot_state()))
+    used = _space(0.75)
+    used.assign("html body nav a")
+    with pytest.raises(CheckpointError):
+        used.restore_state(snapshot)
+    primed = _space(0.75).vectorizer
+    primed.project("html body p")
+    with pytest.raises(CheckpointError):
+        ActionSpace(primed).restore_state(snapshot)
 
 
 # -- URL classifier ------------------------------------------------------

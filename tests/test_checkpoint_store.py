@@ -204,7 +204,7 @@ def test_kind_filter_on_a_fully_corrupt_store_raises(tmp_path):
 
 def test_kind_filter_passes_over_valid_checkpoints_of_other_kinds(tmp_path):
     store = CheckpointStore(tmp_path)
-    store.write_checkpoint(_payload(1, kind="shard-interrupted"), step=1)
+    store.write_checkpoint(_payload(1, kind="shard-outcome"), step=1)
     torn = store.write_checkpoint(_payload(2, kind="shard-progress"), step=2)
     (torn / "manifest.json").unlink()
     assert store.read_latest(kind="shard-progress") is None

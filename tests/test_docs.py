@@ -3,6 +3,8 @@ claims about the public API hold."""
 
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -232,6 +234,41 @@ def test_checkpoint_doc_covers_api_and_manifest():
         assert f"`{name}`" in doc, f"{name} missing from docs/checkpoint.md"
     for field in repro.checkpoint.MANIFEST_FIELDS:
         assert f"`{field}`" in doc, f"manifest field {field} missing"
+
+
+def test_checkpoint_doc_kinds_table_matches_the_payloads(tmp_path):
+    """Each row of docs/checkpoint.md's payload-kinds table names, in
+    backticks, exactly the policy components a checkpoint of that kind
+    carries (everything but the kernel's ``client``, ``robots`` and
+    ``crawl``).  One crawler per kind is interrupted after a few steps."""
+    import re
+
+    from repro.baselines import CRAWLER_NAMES, make_crawler
+    from repro.checkpoint import CheckpointStore, CrawlCheckpointer, CrawlInterrupted
+    from repro.http.environment import CrawlEnvironment
+    from repro.webgraph.sites import load_paper_site
+
+    doc = (REPO / "docs" / "checkpoint.md").read_text()
+    rows = {
+        kind: set(re.findall(r"`([a-z_]+)`", components))
+        for kind, components in re.findall(
+            r"^\| `([a-z-]+-crawl)` \|[^|]*\|(.*)\|$", doc, re.MULTILINE
+        )
+    }
+    payloads = {}
+    for name in CRAWLER_NAMES:
+        crawler = make_crawler(name, seed=1)
+        if crawler.checkpoint_kind in payloads:
+            continue
+        store = CheckpointStore(tmp_path / name)
+        env = CrawlEnvironment(load_paper_site("qa", scale=0.05))
+        with pytest.raises(CrawlInterrupted):
+            crawler.crawl(env, budget=40,
+                          checkpoint=CrawlCheckpointer(store, interrupt_at=3))
+        components = store.read_latest().payload["components"]
+        payloads[crawler.checkpoint_kind] = set(components) - {
+            "client", "robots", "crawl"}
+    assert rows == payloads
 
 
 def test_checkpoint_doc_documents_the_cli():

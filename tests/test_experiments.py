@@ -57,6 +57,14 @@ def test_run_seeds_deduplicates_deterministic(cache):
     assert len(results) == 2
 
 
+def test_run_seeds_runs_every_seeded_crawler_once_per_seed(cache):
+    """Every crawler make_crawler hands a seed is averaged over all the
+    seeds (FOCUSED's SGD model and TP-OFF's HNSW levels take it)."""
+    for name in CRAWLER_ORDER:
+        if name not in ("BFS", "DFS"):
+            assert len(cache.run_seeds("qa", name, seeds=(1, 2))) == 2, name
+
+
 def test_default_cache_shared():
     assert default_cache(0.5) is default_cache(0.5)
     assert default_cache(0.5) is not default_cache(0.25)
