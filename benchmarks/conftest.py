@@ -31,7 +31,7 @@ def bench_cache() -> ResultCache:
 
 @pytest.fixture(scope="session")
 def bench_config() -> ExperimentConfig:
-    return ExperimentConfig(scale=BENCH_SCALE, sb_runs=1, seeds=(1,))
+    return ExperimentConfig(scale=BENCH_SCALE, seeds=(1,))
 
 
 @pytest.fixture(scope="session")

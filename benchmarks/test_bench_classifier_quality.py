@@ -16,7 +16,7 @@ def test_bench_classifier_quality(benchmark, bench_cache, bench_config,
         rows = []
         for site in FULLY_CRAWLED_SITES:
             result = bench_cache.run(
-                site, "SB-CLASSIFIER", seed=bench_config.run_seeds()[0]
+                site, "SB-CLASSIFIER", seed=bench_config.seeds[0]
             )
             rows.append(
                 {

@@ -205,7 +205,7 @@ def _compare(config: ExperimentConfig, cache: ResultCache):
         values = []
         for site in sites:
             env = cache.env(site)
-            result = cache.run(site, crawler, seed=config.run_seeds()[0])
+            result = cache.run(site, crawler, seed=config.seeds[0])
             values.append(
                 requests_to_fraction(
                     result.trace, env.total_targets(), env.n_available()
@@ -263,8 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     config = ExperimentConfig(
-        scale=args.scale, sb_runs=args.runs,
-        seeds=tuple(range(1, args.runs + 1)),
+        scale=args.scale, seeds=tuple(range(1, args.runs + 1)),
     )
     cache = ResultCache(scale=args.scale, trace_dir=args.trace_dir)
     if args.experiment == "compare":

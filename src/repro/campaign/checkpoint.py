@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.campaign.scheduler import SiteWorkload
 from repro.checkpoint.store import CheckpointStore
 from repro.http.ledger import CostLedger
 from repro.obs.metrics import MetricsRegistry
@@ -63,11 +62,6 @@ def site_outcome_to_payload(outcome) -> dict:
         "n_dead_letters": outcome.n_dead_letters,
         "trace_digest": outcome.trace_digest,
         "ledger": outcome.ledger.snapshot_state(),
-        "workload": {
-            "site": outcome.workload.site,
-            "n_requests": outcome.workload.n_requests,
-            "total_bytes": outcome.workload.total_bytes,
-        },
     }
 
 
@@ -77,11 +71,6 @@ def payload_to_site_outcome(payload: dict):
 
     ledger = CostLedger()
     ledger.restore_state(payload["ledger"])
-    workload = SiteWorkload(
-        site=payload["workload"]["site"],
-        n_requests=payload["workload"]["n_requests"],
-        total_bytes=payload["workload"]["total_bytes"],
-    )
     return SiteOutcome(
         site=payload["site"],
         crawler=payload["crawler"],
@@ -94,7 +83,6 @@ def payload_to_site_outcome(payload: dict):
         n_dead_letters=payload["n_dead_letters"],
         trace_digest=payload["trace_digest"],
         ledger=ledger,
-        workload=workload,
     )
 
 

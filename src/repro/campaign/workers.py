@@ -80,7 +80,11 @@ class SiteOutcome:
     #: behind the campaign report's digest
     trace_digest: str
     ledger: CostLedger
-    workload: SiteWorkload
+
+    @property
+    def workload(self) -> SiteWorkload:
+        """What the scheduler needs of this site."""
+        return SiteWorkload(self.site, self.n_requests, self.total_bytes)
 
 
 @dataclass
@@ -180,7 +184,6 @@ def _site_outcome(task: ShardTask, site: str, seed: int, result) -> SiteOutcome:
         n_dead_letters=result.n_dead_letters,
         trace_digest=trace_digest(result.trace),
         ledger=result.info["ledger"],
-        workload=SiteWorkload.from_trace(result.trace),
     )
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 #: bump when the payload layout changes incompatibly; loaders reject
 #: checkpoints written under a different schema instead of guessing
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: unsigned view of each itemsize a sparse array encoding handles
 _BIT_PATTERN = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}

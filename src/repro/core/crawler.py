@@ -59,9 +59,6 @@ class SBConfig:
     prime: int = DEFAULT_PRIME            # hash multiplier Π
     epsilon: float = 1e-6                 # bandit division guard
     bandit_policy: str = "auer"           # auer | epsilon-greedy | thompson
-    #: times an abandoned (transient, retries exhausted) URL is requeued
-    #: into its frontier action before it is dead-lettered
-    max_requeues: int = 2
     batch_size: int = 10                  # URL-classifier batch b
     classifier_model: str = "LR"          # LR | SVM | NB | PA
     feature_set: str = "URL_ONLY"         # URL_ONLY | URL_CONT
@@ -93,7 +90,6 @@ class SBCrawler(Crawler):
         else:
             self.name = "SB-ORACLE" if self.config.use_oracle else "SB-CLASSIFIER"
         self.respect_robots = self.config.respect_robots
-        self.max_requeues = self.config.max_requeues
         self.observer = self.config.observer
 
     # -- setup ------------------------------------------------------------

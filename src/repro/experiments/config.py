@@ -21,19 +21,16 @@ class ExperimentConfig:
     """Knobs shared by all experiment drivers.
 
     ``scale`` multiplies the (already laptop-scale) site sizes; tests use
-    small scales, the benchmark harness uses 1.0.  ``sb_runs`` is the
-    number of seeds SB-CLASSIFIER results are averaged over (the paper
-    averages 15 runs; 3 keeps the benchmark suite tractable).
+    small scales, the benchmark harness uses 1.0.  ``seeds`` are the
+    runs seeded crawlers are averaged over (the paper averages 15 runs;
+    3 keeps the benchmark suite tractable); single-run drivers use the
+    first.
     """
 
     scale: float = 1.0
-    sb_runs: int = 3
     seeds: tuple[int, ...] = field(default=(1, 2, 3))
     #: sites to evaluate (None = the paper's 18)
     sites: tuple[str, ...] | None = None
-
-    def run_seeds(self) -> tuple[int, ...]:
-        return self.seeds[: self.sb_runs]
 
 
 def scaled_early_stopping(n_available: int) -> dict[str, float | int]:

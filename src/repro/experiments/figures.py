@@ -108,7 +108,7 @@ def compute_figure4(
     for site in sites:
         entry = Figure4Site(site=site)
         for crawler in crawlers:
-            result = cache.run(site, crawler, seed=config.run_seeds()[0])
+            result = cache.run(site, crawler, seed=config.seeds[0])
             requests, targets = targets_vs_requests_curve(result.trace)
             non_target, target = volume_curve(result.trace)
             req_x, tgt_y = _downsample(requests, targets)
@@ -171,7 +171,7 @@ def compute_figure5(
     cache = cache or default_cache(config.scale)
     top: dict[str, list[float]] = {}
     for site in sites:
-        result = cache.run(site, "SB-CLASSIFIER", seed=config.run_seeds()[0])
+        result = cache.run(site, "SB-CLASSIFIER", seed=config.seeds[0])
         top[site] = list(result.info["top10_rewards"])
     return Figure5Result(sites=list(sites), top_rewards=top)
 
@@ -215,7 +215,7 @@ def compute_figure15(
     cache = cache or default_cache(config.scale)
     env = cache.env(site)
     es_config = SBConfig(
-        seed=config.run_seeds()[0],
+        seed=config.seeds[0],
         early_stopping=True,
         **scaled_early_stopping(env.n_available()),
     )

@@ -62,7 +62,7 @@ def compute_table2(
         total = env.total_targets()
         avail = env.n_available()
         for crawler in CRAWLER_ORDER:
-            results = cache.run_seeds(site, crawler, config.run_seeds())
+            results = cache.run_seeds(site, crawler, config.seeds)
             value = average_metric(
                 results,
                 lambda r: requests_to_fraction(r.trace, total, avail),
@@ -70,14 +70,14 @@ def compute_table2(
             measured[crawler].append(value)
 
         # Early stopping: SB-CLASSIFIER with the monitor vs without.
-        base_run = cache.run(site, "SB-CLASSIFIER", seed=config.run_seeds()[0])
+        base_run = cache.run(site, "SB-CLASSIFIER", seed=config.seeds[0])
         es_config = SBConfig(
-            seed=config.run_seeds()[0],
+            seed=config.seeds[0],
             early_stopping=True,
             **scaled_early_stopping(avail),
         )
         es_run = cache.run(
-            site, "SB-CLASSIFIER", seed=config.run_seeds()[0],
+            site, "SB-CLASSIFIER", seed=config.seeds[0],
             sb_config=es_config, config_key="early-stopping",
         )
         if base_run.n_requests > 0:

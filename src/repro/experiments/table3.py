@@ -53,7 +53,7 @@ def compute_table3(
         total_target_bytes = env.total_target_bytes()
         total_non_target = site_non_target_bytes(env.graph)
         for crawler in CRAWLER_ORDER:
-            results = cache.run_seeds(site, crawler, config.run_seeds())
+            results = cache.run_seeds(site, crawler, config.seeds)
             value = average_metric(
                 results,
                 lambda r: non_target_volume_fraction(

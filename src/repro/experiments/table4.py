@@ -69,7 +69,7 @@ def compute_table4(
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
     site_list = list(sites or config.sites or FULLY_CRAWLED_SITES)
-    seed = config.run_seeds()[0]
+    seed = config.seeds[0]
     rows: dict[str, list[tuple[float, float]]] = {}
 
     for label, alpha in ALPHA_VALUES:

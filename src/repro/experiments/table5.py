@@ -73,7 +73,7 @@ def compute_table5(
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
     site_list = list(sites or config.sites or FULLY_CRAWLED_SITES)
-    seed = config.run_seeds()[0]
+    seed = config.seeds[0]
 
     measured: dict[str, list[float]] = {}
     mr: dict[str, float] = {}

@@ -50,7 +50,7 @@ def compute_table6(
     means: list[float] = []
     stds: list[float] = []
     for site in sites:
-        result = cache.run(site, "SB-CLASSIFIER", seed=config.run_seeds()[0])
+        result = cache.run(site, "SB-CLASSIFIER", seed=config.seeds[0])
         means.append(result.info["reward_mean_nonzero"])
         stds.append(result.info["reward_std_nonzero"])
     return Table6Result(sites=sites, means=means, stds=stds)

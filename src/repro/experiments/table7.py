@@ -58,7 +58,7 @@ def compute_table7(
     mean_sds: list[float] = []
     for site in sites:
         env = cache.env(site)
-        result = cache.run(site, "SB-CLASSIFIER", seed=config.run_seeds()[0])
+        result = cache.run(site, "SB-CLASSIFIER", seed=config.seeds[0])
         retrieved = sorted(result.targets)
         rng = random.Random(42)
         sample = (

@@ -107,7 +107,6 @@ class HttpClient:
         self,
         server: SimulatedServer,
         crawler_name: str = "",
-        enforce_boundary: bool = True,
         target_mimes: frozenset[str] | None = None,
         observer: Observer | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -115,12 +114,10 @@ class HttpClient:
         self.server = server
         self.ledger = CostLedger()
         self.trace = CrawlTrace(crawler=crawler_name, site=server.graph.name)
-        self.enforce_boundary = enforce_boundary
         self._boundary = SiteBoundary(server.graph.root_url)
         self.target_mimes = target_mimes
         self.observer = observer if observer is not None else NULL_OBSERVER
         self.retry_policy = retry_policy
-        self.retries_used = 0
         #: ``trace.records`` as checkpoint rows, extended at each
         #: snapshot with only the records added since the last one
         self._trace_rows: list[list] = []
@@ -134,7 +131,7 @@ class HttpClient:
     # -- internals -----------------------------------------------------
 
     def _check_boundary(self, url: str) -> None:
-        if self.enforce_boundary and not self._boundary.contains(url):
+        if not self._boundary.contains(url):
             raise OffsiteRequestError(
                 f"crawler requested off-site URL: {url!r} "
                 f"(site root {self.server.graph.root_url!r})"
@@ -206,7 +203,7 @@ class HttpClient:
 
     def _retry_budget_left(self) -> bool:
         assert self.retry_policy is not None
-        return self.retries_used < self.retry_policy.total_budget
+        return self.ledger.n_retries < self.retry_policy.total_budget
 
     def _request(self, method: str, url: str) -> Response:
         self._check_boundary(url)
@@ -221,7 +218,6 @@ class HttpClient:
             and self._retry_budget_left()
         ):
             wait = policy.retry_wait(attempt, response, self._retry_rng)
-            self.retries_used += 1
             self.ledger.record_retry(wait)
             if self.observer.enabled:
                 self.observer.on_event(
@@ -295,7 +291,6 @@ class HttpClient:
 
         return {
             "ledger": self.ledger.snapshot_state(),
-            "retries_used": self.retries_used,
             "retry_rng": (
                 encode_rng_state(self._retry_rng)
                 if self._retry_rng is not None
@@ -311,7 +306,6 @@ class HttpClient:
         from repro.checkpoint.codec import decode_rng_state
 
         self.ledger.restore_state(state["ledger"])
-        self.retries_used = state["retries_used"]
         if state["retry_rng"] is not None:
             if self._retry_rng is None:
                 raise ValueError(

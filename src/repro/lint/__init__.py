@@ -24,11 +24,7 @@ pressure.  See ``docs/static_analysis.md`` for the rule catalogue.
 """
 
 from repro.lint.cache import CacheStats, LintCache
-from repro.lint.cfg import CFG, build_cfg
 from repro.lint.config import RuleConfig, load_pyproject_config
-from repro.lint.dataflow import (ForwardAnalysis, ReachingDefinitions,
-                                 solve_forward)
-from repro.lint.df_rules import DataflowRule, default_df_rules
 from repro.lint.engine import (Finding, LintRun, LintUsageError, Linter,
                                Rule, scan_noqa)
 from repro.lint.project import (ProjectModel, ProjectRule, build_project,
@@ -39,11 +35,8 @@ from repro.lint.rules import default_rules
 from repro.lint.symbols import ModuleSymbols, extract_symbols
 
 __all__ = [
-    "CFG",
     "CacheStats",
-    "DataflowRule",
     "Finding",
-    "ForwardAnalysis",
     "LintCache",
     "LintRun",
     "LintUsageError",
@@ -51,12 +44,9 @@ __all__ = [
     "ModuleSymbols",
     "ProjectModel",
     "ProjectRule",
-    "ReachingDefinitions",
     "Rule",
     "RuleConfig",
-    "build_cfg",
     "build_project",
-    "default_df_rules",
     "default_project_rules",
     "default_rules",
     "extract_symbols",
@@ -66,5 +56,4 @@ __all__ = [
     "render_stats",
     "render_text",
     "scan_noqa",
-    "solve_forward",
 ]

@@ -8,8 +8,7 @@ Exit codes follow the usual linter contract:
 
 ``--project`` enables the phase-2 whole-program pass (FLOW rules over
 the project symbol graph); it is implied when ``--select`` names a FLOW
-code.  The phase-3 dataflow pass (DF rules over per-function CFGs) runs
-by default and is turned off with ``--no-dataflow``.
+code.  The per-file phase runs every other rule, the DF family included.
 ``--select``/``--disable`` accept bare family prefixes (``--select DF``
 = every DF rule).  Results are served from the content-hash incremental
 cache (``.repro-lint-cache.json``) unless ``--no-cache`` is given.
@@ -23,7 +22,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.lint.config import load_pyproject_config
-from repro.lint.df_rules import default_df_rules
 from repro.lint.engine import LintUsageError, Linter
 from repro.lint.project import default_project_rules
 from repro.lint.reporters import (render_json, render_sarif, render_stats,
@@ -82,11 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "graph (default: only when --select names a FLOW rule)",
     )
     parser.add_argument(
-        "--dataflow", action=argparse.BooleanOptionalAction, default=True,
-        help="run the per-function CFG/dataflow DF pass "
-             "(--no-dataflow turns phase 3 off)",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print per-phase timing and cache hit/miss counts to stderr",
     )
@@ -140,15 +133,13 @@ def main(argv: list[str] | None = None) -> int:
 
     rules = default_rules()
     project_rules = default_project_rules()
-    df_rules = default_df_rules()
     if args.list_rules:
-        for rule in [*rules, *project_rules, *df_rules]:
+        for rule in [*rules, *project_rules]:
             print(f"{rule.code}  {rule.name}: {rule.rationale}")
         return EXIT_CLEAN
 
     known = {rule.code for rule in rules}
     known.update(rule.code for rule in project_rules)
-    known.update(rule.code for rule in df_rules)
     selected = {c.strip().upper() for c in args.select.split(",") if c.strip()}
     disabled = {c.strip().upper() for c in args.disable.split(",") if c.strip()}
     selected = _expand_families(selected, known)
@@ -174,7 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         rules = [rule for rule in rules if rule.code in selected]
         project_rules = [rule for rule in project_rules
                          if rule.code in selected]
-        df_rules = [rule for rule in df_rules if rule.code in selected]
         # An explicit --select wins over the pyproject disable list
         # (ruff semantics): lift the selected codes out of `disable` so
         # the Linter does not silently drop them again.
@@ -183,9 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         rules = [rule for rule in rules if rule.code not in disabled]
         project_rules = [rule for rule in project_rules
                          if rule.code not in disabled]
-        df_rules = [rule for rule in df_rules if rule.code not in disabled]
-    if not args.dataflow:
-        df_rules = []  # --no-dataflow wins, even over an explicit select
 
     project = args.project
     if project is None:
@@ -196,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         linter = Linter(config=config, rules=rules,
-                        project_rules=project_rules, df_rules=df_rules)
+                        project_rules=project_rules)
         run = linter.run(args.paths, project=project, cache_path=cache_path,
                          reference_roots=reference_roots)
     except LintUsageError as exc:

@@ -17,16 +17,13 @@ amount of trailing prose explaining *why* the line is exempt.  Markers
 are recognised only in real comment tokens — a string literal that
 happens to contain the text does not suppress anything.
 
-Beyond the per-file walk, :meth:`Linter.run` drives the three-phase
-whole-program analysis: phase 1 produces per-file findings plus a
-:class:`~repro.lint.symbols.ModuleSymbols` table for every module
-(optionally served from the content-hash cache in
-:mod:`repro.lint.cache`); phase 3 — interleaved with phase 1, so its
-results cache per file — builds a control-flow graph per function and
-runs the dataflow DF rules (:mod:`repro.lint.df_rules`); phase 2
-assembles the project model and runs the interprocedural FLOW rules
-(:mod:`repro.lint.project`).  Reference-corpus files feed phase 2
-their symbol tables only.
+Beyond the per-file walk, :meth:`Linter.run` drives the two-phase
+whole-program analysis: phase 1 produces per-file findings (the DF
+rules included) plus a :class:`~repro.lint.symbols.ModuleSymbols`
+table for every module (optionally served from the content-hash cache
+in :mod:`repro.lint.cache`); phase 2 assembles the project model and
+runs the interprocedural FLOW rules (:mod:`repro.lint.project`).
+Reference-corpus files feed phase 2 their symbol tables only.
 """
 
 from __future__ import annotations
@@ -70,6 +67,8 @@ def scan_noqa(source: str) -> dict[int, frozenset[str] | None]:
     anyway, so precision there does not matter.
     """
     markers: dict[int, frozenset[str] | None] = {}
+    if "noqa" not in source:
+        return markers  # most files: skip the tokenizer
     try:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type != tokenize.COMMENT:
@@ -155,6 +154,9 @@ class FileContext:
     #: Depth of the enclosing function stack at the node being visited
     #: (0 = module scope); maintained by the dispatcher.
     function_depth: int = 0
+    #: Facts rules share within the file, keyed by AST node (the DF
+    #: rules scan one function's node list, built once).
+    memo: dict = field(default_factory=dict)
     _noqa: dict[int, frozenset[str] | None] = field(default_factory=dict)
     #: Path-derived facts, computed once in ``__post_init__`` (rules ask
     #: for them per node):
@@ -237,8 +239,8 @@ class LintRun:
     cache: "CacheStats"
     project: bool
     files: int
-    #: Wall seconds per phase (``per_file`` includes ``dataflow``);
-    #: populated by :meth:`Linter.run` for ``--stats``.
+    #: Wall seconds per phase; populated by :meth:`Linter.run` for
+    #: ``--stats``.
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -250,9 +252,7 @@ class Linter:
         config: RuleConfig | None = None,
         rules: Iterable[Rule] | None = None,
         project_rules: "Iterable | None" = None,
-        df_rules: "Iterable | None" = None,
     ) -> None:
-        from repro.lint.df_rules import default_df_rules
         from repro.lint.project import default_project_rules
         from repro.lint.rules import default_rules
 
@@ -260,25 +260,19 @@ class Linter:
         all_rules = list(rules) if rules is not None else default_rules()
         all_project = (list(project_rules) if project_rules is not None
                        else default_project_rules())
-        all_df = (list(df_rules) if df_rules is not None
-                  else default_df_rules())
         known = {rule.code for rule in all_rules}
         known.update(rule.code for rule in all_project)
-        known.update(rule.code for rule in all_df)
         known.update(rule.code for rule in default_rules())
         known.update(rule.code for rule in default_project_rules())
-        known.update(rule.code for rule in default_df_rules())
         unknown = set(self.config.disable) - known
         if unknown:
             raise LintUsageError(
                 f"unknown rule code(s) in disable list: {sorted(unknown)}"
             )
+        self._known = frozenset(known)
         self.rules = [r for r in all_rules if r.code not in self.config.disable]
         self.project_rules = [r for r in all_project
                               if r.code not in self.config.disable]
-        self.df_rules = [r for r in all_df
-                         if r.code not in self.config.disable]
-        self._df_seconds = 0.0
         self._handlers: dict[str, list[Callable]] = {}
         for rule in self.rules:
             for node_type, handler in rule.handlers().items():
@@ -293,8 +287,7 @@ class Linter:
         Returns a :class:`repro.lint.cache.CachedFile` — the unit both
         the incremental cache and the project pass consume.  With
         ``symbols_only`` (reference-corpus files, never linted) no rule
-        runs and no CFG is built: the entry carries the symbol table
-        alone and is marked so it can never serve a linted file.
+        runs: the entry carries the symbol table alone and is marked so it can never serve a linted file.
         """
         from repro.lint.cache import CachedFile
         from repro.lint.symbols import extract_symbols
@@ -318,7 +311,6 @@ class Linter:
         ctx = FileContext(path=path, config=self.config, source=source,
                           tree=tree)
         _Dispatcher(self._handlers, ctx).visit(tree)
-        self._run_dataflow(tree, ctx)
         return CachedFile(
             sha=sha,
             findings=sorted(ctx.findings),
@@ -326,19 +318,6 @@ class Linter:
             symbols=extract_symbols(tree, path),
             noqa=dict(ctx._noqa),
         )
-
-    def _run_dataflow(self, tree: ast.AST, ctx: FileContext) -> None:
-        """Phase 3: one CFG per function, every DF rule over each."""
-        if not self.df_rules:
-            return
-        started = time.perf_counter()
-        from repro.lint.cfg import build_cfg, function_defs
-
-        for func in function_defs(tree):
-            cfg = build_cfg(func)
-            for rule in self.df_rules:
-                rule.check_function(func, cfg, ctx)
-        self._df_seconds += time.perf_counter() - started
 
     # -- entry points ----------------------------------------------------
 
@@ -388,8 +367,7 @@ class Linter:
         from repro.lint.rules import RULESET_VERSION
 
         codes = sorted({r.code for r in self.rules}
-                       | {r.code for r in self.project_rules}
-                       | {r.code for r in self.df_rules})
+                       | {r.code for r in self.project_rules})
         return "|".join([RULESET_VERSION, ",".join(codes),
                          config_digest(self.config)])
 
@@ -401,8 +379,8 @@ class Linter:
         cache_path: str | Path | None = None,
         reference_roots: Iterable[str | Path] = (),
     ) -> LintRun:
-        """The three-phase analysis: per-file rules with the dataflow
-        pass interleaved, then the project-wide FLOW rules.
+        """The two-phase analysis: per-file rules, then (with
+        ``project``) the project-wide FLOW rules.
 
         ``reference_roots`` name directories whose files feed the
         project model (symbol tables, reference corpus) without being
@@ -417,7 +395,6 @@ class Linter:
         stats = CacheStats(enabled=cache_path is not None)
         cache = (LintCache(cache_path, key=self._cache_key())
                  if cache_path is not None else None)
-        self._df_seconds = 0.0
         phase_started = time.perf_counter()
 
         def analyze_file(file: Path, symbols_only: bool = False):
@@ -451,11 +428,7 @@ class Linter:
             project_seconds = time.perf_counter() - phase_started
         if cache is not None:
             cache.save()
-        timings = {
-            "per_file": per_file_seconds,
-            "dataflow": self._df_seconds,
-            "project": project_seconds,
-        }
+        timings = {"per_file": per_file_seconds, "project": project_seconds}
         return LintRun(findings=sorted(findings), cache=stats,
                        project=project, files=len(results),
                        timings=timings)
@@ -499,6 +472,13 @@ class Linter:
 
         model = build_project(symbols, linted_paths=results.keys(),
                               noqa=noqa, suppressed=suppressed)
+        # FLOW004 judges a marker only by codes that ran, or that the
+        # config turned off (a marker for a disabled rule is stale).
+        judged = ({r.code for r in self.rules}
+                  | {r.code for r in self.project_rules}
+                  | self.config.disable)
+        if not self._known <= judged:
+            model.judged_codes = frozenset(judged)
 
         findings: list[Finding] = []
         deferred = [r for r in self.project_rules

@@ -57,6 +57,9 @@ class ProjectModel:
     suppressed: dict[str, dict[int, set[str]]]
     #: module -> set of imported modules (edges restricted to the model).
     import_graph: dict[str, set[str]] = field(default_factory=dict)
+    #: the codes FLOW004 may call stale on a partial run (rules that
+    #: ran, plus the config's disable list); None = every code.
+    judged_codes: frozenset[str] | None = None
 
     def is_linted(self, path: str) -> bool:
         return path in self.linted_paths
@@ -357,7 +360,9 @@ class UnusedNoqaRule(ProjectRule):
     typo.  Stale markers are worse than none — they licence a future
     violation nobody reviewed.  Markers listing ``FLOW004`` itself are
     kept intentionally and never flagged; bare markers that suppress
-    nothing *are* flagged (they cannot self-excuse).
+    nothing *are* flagged (they cannot self-excuse).  On a partial run
+    (``--select``/``--disable``) a marker is judged only by the codes
+    that ran, and a bare marker not at all.
     """
 
     code = "FLOW004"
@@ -367,6 +372,7 @@ class UnusedNoqaRule(ProjectRule):
 
     def check(self, model: ProjectModel, config: RuleConfig) -> list[Finding]:
         findings: list[Finding] = []
+        judged = model.judged_codes
         for path in sorted(model.noqa):
             if not model.is_linted(path):
                 continue
@@ -376,9 +382,10 @@ class UnusedNoqaRule(ProjectRule):
                     continue  # explicitly kept
                 used = hits.get(line, set())
                 if codes is None:
-                    if used:
+                    if used or judged is not None:
                         continue
-                elif codes & used:
+                elif codes & used or (judged is not None
+                                      and not codes & judged):
                     continue
                 label = ("bare noqa" if codes is None
                          else "noqa[" + ",".join(sorted(codes)) + "]")

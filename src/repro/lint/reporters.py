@@ -91,12 +91,10 @@ def render_sarif(
     SARIF data model.
     """
     del cache
-    from repro.lint.df_rules import default_df_rules
     from repro.lint.project import default_project_rules
     from repro.lint.rules import RULESET_VERSION, default_rules
 
-    catalogue = [*default_rules(), *default_project_rules(),
-                 *default_df_rules()]
+    catalogue = [*default_rules(), *default_project_rules()]
     sarif_rules = [
         {
             "id": rule.code,
@@ -149,12 +147,8 @@ def render_stats(run: "LintRun") -> str:
     """Per-phase timing + cache accounting for ``--stats`` (stderr)."""
     timings = run.timings or {}
     per_file = timings.get("per_file", 0.0)
-    dataflow = timings.get("dataflow", 0.0)
     project = timings.get("project", 0.0)
-    lines = [
-        f"phase per-file: {per_file:.3f}s "
-        f"(dataflow {dataflow:.3f}s, {run.files} files)",
-    ]
+    lines = [f"phase per-file: {per_file:.3f}s ({run.files} files)"]
     if run.project:
         lines.append(f"phase project: {project:.3f}s")
     lines.append(_cache_line(run.cache))

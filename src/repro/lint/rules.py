@@ -1,11 +1,14 @@
-"""The built-in determinism & invariant rules (DET*, COR*, API*).
+"""The built-in per-file rules (DET*, COR*, API*, DF*).
 
 Every rule is grounded in a failure mode this reproduction actually
 cares about: unseeded randomness or wall-clock reads silently break the
 byte-identical-trace guarantee behind Tables 1-7; float-equality guards
 and swallowed exceptions corrupt metrics without failing tests; layering
-violations let experiment code leak into the crawler hot path.  See
-``docs/static_analysis.md`` for the full catalogue with examples.
+violations let experiment code leak into the crawler hot path.  The DF
+rules read one function's statements at a time: a fixed-seed RNG
+reaching a draw, a handle that is never closed, a store nothing reads,
+a retry error nobody accounts for.  See ``docs/static_analysis.md`` for
+the full catalogue with examples.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from repro.lint.engine import FileContext, Rule
 #: the incremental cache (`repro.lint.cache`) cannot serve findings
 #: computed by an older rule set.  The active rule codes and the config
 #: digest are mixed into the cache key separately.
-RULESET_VERSION = "2026.10-8"
+RULESET_VERSION = "2026.10-9"
 
 
 def _dotted_name(node: ast.AST) -> str:
@@ -389,6 +392,362 @@ class LayeringRule(Rule):
         self._check(node, node.module, ctx)
 
 
+# ---------------------------------------------------------------------------
+# The DF family: one function's statements, read in a single pass
+# ---------------------------------------------------------------------------
+
+#: ``random.Random`` drawing methods — DF001 sinks when the receiver is
+#: a fixed-seed stream, and the consumption sites DET003 already guards.
+RNG_METHODS = frozenset({
+    "sample", "shuffle", "choice", "choices", "random", "randint",
+    "randrange", "uniform", "gauss", "normalvariate", "lognormvariate",
+})
+
+#: Free functions that consume an RNG argument (repro.utils.sampling).
+SAMPLING_FUNCS = frozenset({
+    "weighted_choice", "bounded_lognormal", "clipped_normal_int",
+    "sample", "shuffle",
+})
+
+#: Constructors whose result is an open resource DF002 tracks.
+RESOURCE_CONSTRUCTORS = frozenset({"open", "JsonlSink"})
+
+#: Method names that release a tracked resource.
+CLOSE_METHODS = frozenset({"close", "__exit__"})
+
+#: Name components that mark a call as *handling* a retry error (DF005):
+#: charging the ledger, emitting an observability event, re-recording.
+HANDLED_TOKENS = ("record", "charge", "spend", "debit", "emit", "event",
+                  "ledger")
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scope_nodes(func: ast.AST, ctx: FileContext) -> list[ast.AST]:
+    """Every node of ``func``'s own scope, built once per function:
+    nested ``def`` and ``class`` bodies belong to their own scope (the
+    dispatcher visits them); the nested definition node itself is
+    listed."""
+    nodes = ctx.memo.get(func)
+    if nodes is None:
+        nodes = ctx.memo[func] = []
+        stack = list(ast.iter_child_nodes(func))
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if not isinstance(node, _SCOPES):
+                stack.extend(ast.iter_child_nodes(node))
+    return nodes
+
+
+def _statement_lists(func: ast.AST):
+    """``(body, tails)`` for every statement list of ``func``'s scope;
+    ``tails`` are the statements after each enclosing statement, i.e.
+    where control goes once ``body`` falls through."""
+    stack: list[tuple[list[ast.stmt], tuple]] = [(func.body, ())]
+    while stack:
+        body, tails = stack.pop()
+        yield body, tails
+        for index, stmt in enumerate(body):
+            if isinstance(stmt, _SCOPES):
+                continue
+            inner = (body[index + 1:], *tails)
+            for name in ("body", "orelse", "finalbody"):
+                block = getattr(stmt, name, None)
+                if block:
+                    stack.append((block, inner))
+            for child in getattr(stmt, "handlers", ()):
+                stack.append((child.body, inner))
+            for case in getattr(stmt, "cases", ()):
+                stack.append((case.body, inner))
+
+
+def _plain_store(stmt: ast.stmt) -> str | None:
+    """The name a single-name ``x = ...`` / ``x: T = ...`` binds."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        target = stmt.target
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def _loaded_names(node: ast.AST) -> set[str]:
+    return {child.id for child in ast.walk(node)
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)}
+
+
+def _fixed_seed_rng(expr: ast.AST) -> bool:
+    """``random.Random()`` / ``random.Random(<literals>)`` — a stream no
+    caller can decorrelate (parameter-seeded constructions are fine)."""
+    if not isinstance(expr, ast.Call):
+        return False
+    if _dotted_name(expr.func) not in ("random.Random", "Random"):
+        return False
+    return (all(isinstance(a, ast.Constant) for a in expr.args)
+            and all(isinstance(k.value, ast.Constant)
+                    for k in expr.keywords))
+
+
+class UnseededRngTaintRule(Rule):
+    """DF001 — a fixed-seed RNG must not reach a sampling/shuffle call.
+
+    DET001 bans the *global* stream and API001 demands a seed parameter
+    at the API boundary, but neither sees a ``random.Random(42)`` built
+    locally and handed to ``sample``/``shuffle``/``weighted_choice`` —
+    a stream hard-wired to one seed, so seed-averaged experiments
+    (paper Sec. 4.1) silently reuse identical draws.  The rule follows
+    names bound to fixed-seed constructions, and their plain aliases,
+    to any drawing method or sampling helper in the function; construct
+    through ``repro.utils.rng.derive_rng`` instead.
+    """
+
+    code = "DF001"
+    name = "unseeded-rng-taint"
+    rationale = ("a literal-seeded RNG reaching a sampling call pins the "
+                 "stream to one seed; derive it via derive_rng")
+
+    def visit_FunctionDef(self, node: ast.AST, ctx: FileContext) -> None:
+        if ctx.is_test_file() or ctx.config.is_rng_module(ctx.posix_path):
+            return
+        nodes = _scope_nodes(node, ctx)
+        stores = sorted((stmt for stmt in nodes
+                         if isinstance(stmt, ast.Assign)),
+                        key=lambda stmt: (stmt.lineno, stmt.col_offset))
+        tainted: set[str] = set()
+        for stmt in stores:  # in source order, so aliases follow
+            value = stmt.value
+            if _fixed_seed_rng(value) or (isinstance(value, ast.Name)
+                                          and value.id in tainted):
+                name = _plain_store(stmt)
+                if name is not None:
+                    tainted.add(name)
+        for call in nodes:
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Attribute) and func.attr in RNG_METHODS:
+                receiver = func.value
+                if ((isinstance(receiver, ast.Name)
+                     and receiver.id in tainted)
+                        or _fixed_seed_rng(receiver)):
+                    ctx.report(self, call, (
+                        f"fixed-seed RNG reaches .{func.attr}(); the "
+                        "stream cannot be decorrelated across runs — "
+                        "derive it via repro.utils.rng.derive_rng"
+                    ))
+                    continue
+            head = _dotted_name(func).rsplit(".", 1)[-1]
+            if head in SAMPLING_FUNCS and any(
+                    isinstance(arg, ast.Name) and arg.id in tainted
+                    for arg in [*call.args,
+                                *(k.value for k in call.keywords)]):
+                ctx.report(self, call, (
+                    f"fixed-seed RNG passed to {head}(); the stream "
+                    "cannot be decorrelated across runs — derive it "
+                    "via repro.utils.rng.derive_rng"
+                ))
+
+
+class ResourceLeakRule(Rule):
+    """DF002 — a locally opened sink or file must be closed on every
+    path out of the function.
+
+    A ``JsonlSink`` or file leaked on an early return or exception path
+    holds a buffered file handle: events written near the end of a
+    crawl silently vanish, and the trace-replay gate diffs a truncated
+    file.  A handle is accepted when it is a ``with`` item, when it is
+    closed in a ``finally``, or when ownership escapes (the handle is
+    returned, yielded, passed to a callee or stored) — whoever received
+    it owns the close.  ``with`` is the preferred fix.
+    """
+
+    code = "DF002"
+    name = "resource-leak"
+    rationale = ("a sink/file opened on a path that can exit without "
+                 "close() loses buffered crawl data; use with/finally")
+
+    def visit_FunctionDef(self, node: ast.AST, ctx: FileContext) -> None:
+        if ctx.is_test_file():
+            return
+        nodes = _scope_nodes(node, ctx)
+        opened = [(stmt, name) for stmt in nodes
+                  if isinstance(stmt, ast.Assign)
+                  and (name := _plain_store(stmt)) is not None
+                  and self._opens(stmt.value)]
+        if not opened:
+            return
+        accepted: set[str] = set()
+        for child in nodes:
+            for region in self._owning_regions(child):
+                accepted |= _loaded_names(region)
+            if isinstance(child, ast.Try):
+                accepted.update(
+                    call.func.value.id
+                    for stmt in child.finalbody for call in ast.walk(stmt)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in CLOSE_METHODS
+                    and isinstance(call.func.value, ast.Name))
+        for stmt, name in opened:
+            if name in accepted:
+                continue
+            anchor = ast.Pass()
+            anchor.lineno, anchor.col_offset = stmt.lineno, 0
+            ctx.report(self, anchor, (
+                f"{name!r} opened here can reach a function exit without "
+                "close(); wrap it in a with block or close it in finally"
+            ))
+
+    def _opens(self, expr: ast.AST) -> bool:
+        return (isinstance(expr, ast.Call)
+                and _dotted_name(expr.func).rsplit(".", 1)[-1]
+                in RESOURCE_CONSTRUCTORS)
+
+    def _owning_regions(self, node: ast.AST) -> list[ast.AST]:
+        """Sub-expressions whose names take ownership of a handle: with
+        items, returned/raised/yielded/stored values, call arguments
+        and container elements."""
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            return [item.context_expr for item in node.items]
+        if isinstance(node, ast.Raise):
+            return [node.exc] if node.exc is not None else []
+        if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom,
+                             ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            value = node.value
+            if value is None or self._opens(value):
+                return []
+            return [value]
+        if isinstance(node, ast.Call):
+            return [*node.args, *(k.value for k in node.keywords)]
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return list(node.elts)
+        if isinstance(node, ast.Dict):
+            return list(node.values)
+        return []
+
+
+class DeadStoreRule(Rule):
+    """DF004 — a stored value nothing reads is noise at best and a
+    dropped result at worst.
+
+    Flags a plain single-name assignment whose name nothing in the
+    function loads, or that the next statement in the same list
+    overwrites without reading it.  Tuple unpacking, augmented
+    assignment, loop targets, ``global``/``nonlocal`` names and
+    underscore names are idiomatic ways to discard values and stay
+    exempt; a read inside a nested function or lambda counts (the
+    closure may run later).
+    """
+
+    code = "DF004"
+    name = "dead-store"
+    rationale = ("a stored value no path ever reads hides a dropped "
+                 "result or leftover refactor debris")
+
+    def visit_FunctionDef(self, node: ast.AST, ctx: FileContext) -> None:
+        if ctx.is_test_file():
+            return
+        read: set[str] = set()
+        for child in _scope_nodes(node, ctx):
+            if isinstance(child, ast.Name) and isinstance(
+                    child.ctx, ast.Load):
+                read.add(child.id)
+            elif isinstance(child, (ast.Global, ast.Nonlocal)):
+                read.update(child.names)
+            elif (isinstance(child, ast.AugAssign)
+                  and isinstance(child.target, ast.Name)):
+                read.add(child.target.id)  # x += 1 reads the old x
+            elif isinstance(child, _SCOPES):
+                read |= _loaded_names(child)  # a closure may read later
+        for body, _ in _statement_lists(node):
+            for index, stmt in enumerate(body):
+                name = _plain_store(stmt)
+                if name is None or name.startswith("_"):
+                    continue
+                if name in read:
+                    after = body[index + 1] if index + 1 < len(body) else None
+                    if (after is None or _plain_store(after) != name
+                            or name in _loaded_names(after)):
+                        continue
+                ctx.report(self, stmt, (
+                    f"value assigned to {name!r} is never read on any path "
+                    "(dead store); drop the binding or use the value"
+                ))
+
+
+def _retry_exception_names(type_node: ast.AST | None) -> list[str]:
+    if type_node is None:
+        return []
+    nodes = (type_node.elts if isinstance(type_node, ast.Tuple)
+             else [type_node])
+    names: list[str] = []
+    for node in nodes:
+        tail = _dotted_name(node).rsplit(".", 1)[-1]
+        if not tail:
+            continue
+        if ("Timeout" in tail or "Http" in tail or "HTTP" in tail
+                or tail in ("ConnectionError", "ConnectionResetError",
+                            "RetryError")):
+            names.append(tail)
+    return names
+
+
+def _accounts(stmts: list[ast.stmt]) -> bool:
+    """Does any statement re-raise or make an accounting call?"""
+    for stmt in stmts:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Raise):
+                return True
+            if isinstance(node, ast.Call):
+                parts = _dotted_name(node.func).lower().split(".")
+                if any(token in part for part in parts
+                       for token in HANDLED_TOKENS):
+                    return True
+    return False
+
+
+class SwallowedRetryErrorRule(Rule):
+    """DF005 — catching a timeout/HTTP error obliges the handler's
+    continuation to account for it.
+
+    The cost model (Tables 2-3) only reproduces if every failed request
+    is *visible*: charged to the ledger, recorded in the trace, emitted
+    as an observability event — or re-raised.  A handler that swallows
+    a retry-class error and carries on lets request counts drift from
+    the pages actually fetched.  A re-raise or accounting call
+    (``record``/``charge``/``emit``/``ledger``/... in a call name) in
+    the handler, the ``finally``, or any statement after the ``try``
+    satisfies it, so the common fall-through-to-shared-bookkeeping
+    shape passes without annotation.
+    """
+
+    code = "DF005"
+    name = "swallowed-retry-error"
+    rationale = ("a swallowed timeout/HTTP error desyncs the ledger and "
+                 "trace from the requests actually made")
+
+    def visit_FunctionDef(self, node: ast.AST, ctx: FileContext) -> None:
+        if ctx.is_test_file():
+            return
+        for body, tails in _statement_lists(node):
+            for index, stmt in enumerate(body):
+                if not isinstance(stmt, ast.Try):
+                    continue
+                after = [stmt.finalbody, body[index + 1:], *tails]
+                for handler in stmt.handlers:
+                    names = _retry_exception_names(handler.type)
+                    if (not names or _accounts(handler.body)
+                            or any(_accounts(block) for block in after)):
+                        continue
+                    ctx.report(self, handler, (
+                        f"handler for {'/'.join(names)} neither re-raises "
+                        "nor reaches any ledger/trace/event accounting; "
+                        "charge the ledger, emit an event, or re-raise"
+                    ))
+
+
 def default_rules() -> list[Rule]:
     """Fresh instances of the full built-in rule set, in catalogue order."""
     return [
@@ -400,4 +759,8 @@ def default_rules() -> list[Rule]:
         SwallowedExceptionRule(),
         SeedThreadingRule(),
         LayeringRule(),
+        UnseededRngTaintRule(),
+        ResourceLeakRule(),
+        DeadStoreRule(),
+        SwallowedRetryErrorRule(),
     ]

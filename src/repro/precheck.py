@@ -2,7 +2,7 @@
 
 Runs, in order, from the repository root::
 
-    python -m repro.lint --project src   # three-phase whole-program lint
+    python -m repro.lint --project src   # two-phase whole-program lint
     python -m pytest tests/test_docs.py tests/test_obs_events.py
                                       # doc gates: README/API/observability
                                       # contracts hold as written
@@ -29,9 +29,9 @@ import sys
 from pathlib import Path
 
 #: (description, argv) pairs run relative to the repository root.
-#: The lint step runs all three phases (per-file rules, the dataflow DF
-#: rules, and --project: FLOW rules over the project symbol graph) and
-#: is served by the incremental cache, so warm re-runs cost
+#: The lint step runs both phases (per-file rules, the DF family
+#: included, and --project: FLOW rules over the project symbol graph)
+#: and is served by the incremental cache, so warm re-runs cost
 #: milliseconds.
 CHECKS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("determinism & invariant lint", ("-m", "repro.lint", "--project", "src")),

@@ -83,7 +83,7 @@ def test_figure_svg_helpers(small_env):
     from repro.experiments.figures import compute_figure15, compute_figure4, compute_figure5
     from repro.experiments.runner import ResultCache
 
-    config = ExperimentConfig(scale=0.1, sb_runs=1, seeds=(1,))
+    config = ExperimentConfig(scale=0.1, seeds=(1,))
     cache = ResultCache(scale=0.1)
     fig4 = compute_figure4(config, cache, sites=("qa",), crawlers=("BFS",))
     left, right = fig4.sites[0].to_svg()

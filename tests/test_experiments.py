@@ -27,7 +27,7 @@ from repro.experiments.table7 import compute_table7
 
 SCALE = 0.12
 SITES = ("cl", "qa")
-CONFIG = ExperimentConfig(scale=SCALE, sb_runs=1, seeds=(1,), sites=SITES)
+CONFIG = ExperimentConfig(scale=SCALE, seeds=(1,), sites=SITES)
 
 
 @pytest.fixture(scope="module")

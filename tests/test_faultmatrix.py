@@ -4,7 +4,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.faultmatrix import compute_fault_matrix
 
 SCALE = 0.15
-CONFIG = ExperimentConfig(scale=SCALE, sb_runs=1, seeds=(1,))
+CONFIG = ExperimentConfig(scale=SCALE, seeds=(1,))
 RATES = (0.0, 0.3)
 
 

@@ -48,12 +48,6 @@ def test_offsite_request_rejected(small_site):
         client.head("https://elsewhere.example/page")
 
 
-def test_boundary_enforcement_can_be_disabled(small_site):
-    client = HttpClient(SimulatedServer(small_site), enforce_boundary=False)
-    response = client.get("https://elsewhere.example/page")
-    assert response.status == 404
-
-
 def test_budget_spent_models(small_site):
     client = HttpClient(SimulatedServer(small_site))
     client.get(small_site.root_url)

@@ -145,7 +145,6 @@ def test_transient_failure_retried_until_success(small_site):
     assert response.ok
     assert client.n_requests == 3          # every attempt is a request
     assert client.ledger.n_retries == 2
-    assert client.retries_used == 2
     events = sink.of_kind("retry_scheduled")
     assert [e.attempt for e in events] == [1, 2]
     assert events[0].reason == "status_503"
@@ -190,7 +189,7 @@ def test_retry_budget_bounds_total_retries(small_site):
     client = HttpClient(server, retry_policy=policy)
     first = client.get("https://www.testsite.example/p")
     assert first.abandoned
-    assert client.retries_used == 1        # budget spent
+    assert client.ledger.n_retries == 1    # budget spent
     second = client.get("https://www.testsite.example/p")
     assert second.abandoned                # no budget left: single attempt
     assert client.n_requests == 3

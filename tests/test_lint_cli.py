@@ -192,10 +192,10 @@ def test_dataflow_rules_run_by_default(tmp_path, capsys):
     assert "DF004" in out and "DET001" in out
 
 
-def test_no_dataflow_flag_skips_df_rules(tmp_path, capsys):
+def test_disable_df_family_skips_df_rules(tmp_path, capsys):
     path = tmp_path / "df.py"
     path.write_text(DF_DIRTY_SNIPPET)
-    assert main(["--no-config", "--no-dataflow", str(path)]) == \
+    assert main(["--no-config", "--disable", "DF", str(path)]) == \
         EXIT_FINDINGS
     out = capsys.readouterr().out
     assert "DF004" not in out and "DET001" in out
@@ -210,12 +210,31 @@ def test_select_df_family_prefix_expands(tmp_path, capsys):
     assert "DF004" in out and "DET001" not in out
 
 
-def test_no_dataflow_wins_over_df_select(tmp_path, capsys):
-    path = tmp_path / "df.py"
-    path.write_text(DF_DIRTY_SNIPPET)
-    assert main(["--no-config", "--no-dataflow", "--select", "DF",
-                 str(path)]) == EXIT_CLEAN
-    assert "clean" in capsys.readouterr().out
+MARKED_SNIPPET = (
+    "def f(x):\n"
+    "    return x == 0.5  # repro: noqa[COR002] exact sentinel\n"
+)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--disable", "COR002"],
+    ["--select", "DET002,FLOW004"],
+])
+def test_flow004_ignores_markers_for_rules_that_did_not_run(
+        tmp_path, capsys, flags):
+    path = tmp_path / "marked.py"
+    path.write_text(MARKED_SNIPPET)
+    assert main(["--no-config", "--project", *flags, str(path)]) == \
+        EXIT_CLEAN
+    assert "FLOW004" not in capsys.readouterr().out
+
+
+def test_flow004_still_judges_rules_that_ran(tmp_path, capsys):
+    path = tmp_path / "marked.py"
+    path.write_text(MARKED_SNIPPET.replace("0.5", "1"))
+    assert main(["--no-config", "--project", "--select", "COR002,FLOW004",
+                 str(path)]) == EXIT_FINDINGS
+    assert "FLOW004" in capsys.readouterr().out
 
 
 def test_stats_flag_prints_phase_timings(dirty_file, capsys):
@@ -223,7 +242,7 @@ def test_stats_flag_prints_phase_timings(dirty_file, capsys):
         EXIT_FINDINGS
     err = capsys.readouterr().err
     assert "phase per-file" in err
-    assert "dataflow" in err
+    assert "dataflow" not in err
     assert "cache:" in err
 
 

@@ -1,18 +1,13 @@
-"""Phase-3 dataflow tests: the solver, its statement views, and one
-injected-violation fixture per DF rule (mirroring the FLOW self-gate
-style in ``tests/test_lint_self.py`` — a minimal source carrying exactly
-one violation, asserted down to the line)."""
+"""DF family tests: one injected-violation fixture per DF rule, plus
+the negatives each rule must stay silent on (mirroring the FLOW
+self-gate style in ``tests/test_lint_self.py`` — a minimal source
+carrying exactly one violation, asserted down to the line)."""
 
 from __future__ import annotations
 
-import ast
 import textwrap
 
-from repro.lint import (DataflowRule, ForwardAnalysis, Linter,
-                        ReachingDefinitions, RuleConfig, build_cfg,
-                        default_df_rules, render_stats, solve_forward)
-from repro.lint.cfg import EXIT
-from repro.lint.dataflow import stmt_defs, stmt_uses
+from repro.lint import Linter, Rule, RuleConfig, default_rules, render_stats
 
 
 def lint(source: str, path: str = "src/repro/core/mod.py"):
@@ -25,105 +20,17 @@ def only(findings, code):
     return [f for f in findings if f.rule == code]
 
 
-def solve_rd(source: str):
-    tree = ast.parse(textwrap.dedent(source))
-    func = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-    )
-    cfg = build_cfg(func)
-    return cfg, solve_forward(cfg, ReachingDefinitions())
-
-
 # ---------------------------------------------------------------------------
-# Statement views
+# The catalogue
 # ---------------------------------------------------------------------------
-
-
-def stmt_of(source: str) -> ast.stmt:
-    return ast.parse(textwrap.dedent(source)).body[0]
-
-
-def test_stmt_defs_cover_binding_forms():
-    assert stmt_defs(stmt_of("a, (b, c) = x")) == \
-        [("a", 1), ("b", 1), ("c", 1)]
-    assert stmt_defs(stmt_of("for i in xs:\n    pass")) == [("i", 1)]
-    assert stmt_defs(stmt_of("with open(p) as fh:\n    pass")) == \
-        [("fh", 1)]
-    assert stmt_defs(stmt_of("import os.path")) == [("os", 1)]
-    assert stmt_defs(stmt_of("from m import x as y")) == [("y", 1)]
-    assert ("n", 1) in stmt_defs(stmt_of("while (n := read()):\n    pass"))
-
-
-def test_stmt_uses_are_header_only():
-    assert stmt_uses(stmt_of("x += y")) == {"x", "y"}
-    # Compound headers read only their own expressions, not the body.
-    assert stmt_uses(stmt_of("if cond:\n    body(arg)")) == {"cond"}
-    assert stmt_uses(stmt_of("for i in xs:\n    use(i)")) == {"xs"}
-
-
-# ---------------------------------------------------------------------------
-# The solver
-# ---------------------------------------------------------------------------
-
-
-def test_reaching_definitions_kill_within_a_block():
-    _, (in_facts, _) = solve_rd(
-        """
-        def f():
-            x = 1
-            x = 2
-            return x
-        """
-    )
-    assert in_facts[EXIT] == frozenset({("x", 4)})  # line 3 was killed
-
-
-def test_reaching_definitions_join_at_branch_merge():
-    cfg, (in_facts, _) = solve_rd(
-        """
-        def f(flag):
-            x = 1
-            if flag:
-                x = 2
-            return x
-        """
-    )
-    # Both definitions survive the merge and reach the function exit.
-    assert cfg is not None
-    assert in_facts[EXIT] == frozenset({("x", 3), ("x", 5)})
-
-
-def test_custom_analysis_plugs_into_the_solver():
-    class AssignedNames(ForwardAnalysis):
-        def transfer(self, fact, stmt):
-            return fact | frozenset(n for n, _ in stmt_defs(stmt))
-
-    source = """
-        def f(flag):
-            x = 1
-            if flag:
-                y = 2
-            else:
-                z = 3
-            return x
-        """
-    tree = ast.parse(textwrap.dedent(source))
-    func = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-    )
-    _, out = solve_forward(build_cfg(func), AssignedNames())
-    seen = frozenset().union(*out.values())
-    assert seen == {"x", "y", "z"}
 
 
 def test_df_catalogue_codes_and_metadata():
-    rules = default_df_rules()
+    rules = [r for r in default_rules() if r.code.startswith("DF")]
     assert [r.code for r in rules] == \
         ["DF001", "DF002", "DF004", "DF005"]
     for rule in rules:
-        assert isinstance(rule, DataflowRule)
+        assert isinstance(rule, Rule)
         assert rule.name and rule.rationale
 
 
@@ -259,6 +166,19 @@ def test_df002_close_in_finally_covers_every_path():
     assert findings == []
 
 
+def test_df002_close_outside_finally_is_caught():
+    # An exception between open and close skips a straight-line close.
+    findings = only(lint(
+        """
+        def dump(path, row):
+            fh = open(path, "w")
+            fh.write(row)
+            fh.close()
+        """
+    ), "DF002")
+    assert [f.line for f in findings] == [3]
+
+
 def test_df002_escaped_handle_moves_ownership():
     findings = only(lint(
         """
@@ -287,6 +207,29 @@ def test_df004_overwritten_initialiser_is_caught():
     assert len(findings) == 1
     assert findings[0].line == 3
     assert "'total'" in findings[0].message
+
+
+def test_df004_store_that_is_only_deleted_is_caught():
+    findings = only(lint(
+        """
+        def drop(frontier, url):
+            features = frontier.pop(url)
+            del features
+        """
+    ), "DF004")
+    assert [f.line for f in findings] == [3]
+
+
+def test_df004_augmented_assignment_reads_the_store():
+    findings = only(lint(
+        """
+        def count(items):
+            total = 0
+            for item in items:
+                total += item
+        """
+    ), "DF004")
+    assert findings == []
 
 
 def test_df004_definition_live_on_one_branch_is_fine():
@@ -397,11 +340,11 @@ def test_df005_fall_through_to_shared_bookkeeping_passes():
 # ---------------------------------------------------------------------------
 
 
-def test_render_stats_reports_the_dataflow_phase(tmp_path):
+def test_render_stats_reports_the_two_phases(tmp_path):
     (tmp_path / "m.py").write_text("def f():\n    return 1\n")
-    run = Linter(RuleConfig()).run([tmp_path / "m.py"])
+    run = Linter(RuleConfig()).run([tmp_path / "m.py"], project=True)
     text = render_stats(run)
-    assert "phase per-file" in text
-    assert "dataflow" in text
+    assert "phase per-file" in text and "phase project" in text
+    assert "dataflow" not in text
     assert "cache: disabled" in text
-    assert set(run.timings) >= {"per_file", "dataflow"}
+    assert set(run.timings) == {"per_file", "project"}
