@@ -261,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
              "docs/observability.md)",
     )
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1, not {args.runs}")
 
     config = ExperimentConfig(
         scale=args.scale, seeds=tuple(range(1, args.runs + 1)),

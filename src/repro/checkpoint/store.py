@@ -31,7 +31,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.checkpoint.codec import SCHEMA_VERSION, Log, canonical_json
@@ -117,6 +117,11 @@ class CheckpointStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self._journal: _Journal | None = None
+        #: seq -> journal name ("" for none, None if not read yet) of each
+        #: checkpoint this object knows: one scan, then its own writes
+        self._known: dict[int, str | None] | None = None
+        #: the referenced journals at the last sweep of unreferenced ones
+        self._swept: set[str] | None = None
 
     # -- writing -----------------------------------------------------
 
@@ -124,14 +129,19 @@ class CheckpointStore:
         """Atomically publish ``payload`` as the next checkpoint and
         return its directory."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        seq = self._next_seq()
-        target = self.directory / f"{_CKPT_PREFIX}{seq:08d}"
-        target.mkdir(exist_ok=True)
+        seq = max(self._scan() if self._known is None else self._known, default=0) + 1
+        try:
+            self._path(seq).mkdir()
+        except FileExistsError:  # another writer took it: learn what it wrote
+            seq = max(self._scan(), default=0) + 1
+            self._path(seq).mkdir(exist_ok=True)
+        target = self._path(seq)
         logs: list[tuple[_Path, Log]] = []
         state = _split_logs(payload, (), logs)
         manifest = {"schema_version": SCHEMA_VERSION, "seq": seq, "step": step}
         if logs:
             manifest["journal"] = self._append_journal(seq, logs)
+        self._known[seq] = manifest["journal"]["name"] if logs else ""
         # Encode once: the digest hashes the bytes state.json holds,
         # without its trailing newline.
         data = canonical_json(state).encode("utf-8")
@@ -183,9 +193,24 @@ class CheckpointStore:
             "lengths": [[list(path), len(log)] for path, log in logs],
         }
 
-    def _next_seq(self) -> int:
-        existing = [seq for seq, _ in self._entries()]
-        return (max(existing) + 1) if existing else 1
+    def _path(self, seq: int) -> Path:
+        return self.directory / f"{_CKPT_PREFIX}{seq:08d}"
+
+    def _scan(self) -> dict[int, str | None]:
+        """Learn the checkpoints on disk; keep the journals already read."""
+        old = self._known or {}
+        self._known = {seq: old.get(seq) for seq, _ in self._entries()}
+        return self._known
+
+    def _journal_of(self, seq: int) -> str:
+        """The journal a known checkpoint's manifest names, read once."""
+        if self._known[seq] is None:
+            try:
+                manifest = json.loads((self._path(seq) / "manifest.json").read_bytes())
+                self._known[seq] = str(manifest.get("journal", {"name": ""})["name"])
+            except (OSError, ValueError, TypeError, KeyError, AttributeError):
+                return ""  # unreadable: read it again next time
+        return self._known[seq]
 
     # -- reading -----------------------------------------------------
 
@@ -202,7 +227,7 @@ class CheckpointStore:
                     entries.append((int(suffix), child))
         return sorted(entries)
 
-    def _load_dir(self, path: Path, journals: dict[str, bytes]) -> tuple[dict, dict]:
+    def _load_dir(self, path: Path, journals: dict[str, bytes]) -> LoadedCheckpoint:
         """Validate one checkpoint dir and rebuild its payload; raise
         CorruptCheckpointError on any defect (missing file, bad JSON,
         schema drift, digest mismatch, bad journal).  ``journals``
@@ -246,7 +271,7 @@ class CheckpointStore:
                 raise CorruptCheckpointError(
                     f"bad journal for {path.name}: {exc}"
                 ) from exc
-        return payload, manifest
+        return LoadedCheckpoint(payload, manifest["seq"], manifest["step"], path)
 
     def _replay(
         self, payload: dict, manifest: dict, journals: dict[str, bytes]
@@ -304,22 +329,15 @@ class CheckpointStore:
         skipped: list[str] = []
         validated = False
         journals: dict[str, bytes] = {}
-        for seq, path in reversed(self._entries()):
+        for _seq, path in reversed(self._entries()):
             try:
-                payload, manifest = self._load_dir(path, journals)
+                loaded = self._load_dir(path, journals)
             except CorruptCheckpointError:
                 skipped.append(path.name)
                 continue
             validated = True
-            if kind is not None and payload.get("kind") != kind:
-                continue
-            return LoadedCheckpoint(
-                payload=payload,
-                seq=manifest["seq"],
-                step=manifest["step"],
-                path=path,
-                corrupt_skipped=tuple(skipped),
-            )
+            if kind is None or loaded.payload.get("kind") == kind:
+                return replace(loaded, corrupt_skipped=tuple(skipped))
         if skipped and not validated:
             raise CorruptCheckpointError(
                 f"no valid checkpoint in {self.directory.name}: all of "
@@ -336,19 +354,13 @@ class CheckpointStore:
         """
         loaded: list[LoadedCheckpoint] = []
         journals: dict[str, bytes] = {}
-        for seq, path in self._entries():
+        for _seq, path in self._entries():
             try:
-                payload, manifest = self._load_dir(path, journals)
+                entry = self._load_dir(path, journals)
             except CorruptCheckpointError:
                 continue
-            if kind is not None and payload.get("kind") != kind:
-                continue
-            loaded.append(LoadedCheckpoint(
-                payload=payload,
-                seq=manifest["seq"],
-                step=manifest["step"],
-                path=path,
-            ))
+            if kind is None or entry.payload.get("kind") == kind:
+                loaded.append(entry)
         return loaded
 
     # -- maintenance -------------------------------------------------
@@ -357,25 +369,29 @@ class CheckpointStore:
         """Delete all but the ``keep`` newest checkpoints (``keep >= 2``
         preserves the previous-generation fallback), then every journal
         that no kept manifest and not this store's own journal
-        references; returns how many checkpoints were removed."""
+        references, unless the last sweep kept the same set; returns how
+        many checkpoints were removed."""
         if keep < 1:
             raise ValueError("prune_old needs keep >= 1")
-        entries = self._entries()
-        removed = 0
-        for _seq, path in entries[:-keep]:
-            shutil.rmtree(path)
-            removed += 1
-        referenced = set()
+        known = self._scan() if self._known is None else self._known
+        seqs = sorted(known)
+        for seq in seqs[:-keep]:
+            path = self._path(seq)
+            for name in ("state.json", "manifest.json"):
+                (path / name).unlink(missing_ok=True)
+            try:
+                path.rmdir()
+            except FileNotFoundError:
+                pass
+            except OSError:
+                shutil.rmtree(path)  # stray .tmp files of a torn write
+            del known[seq]
+        referenced = {self._journal_of(seq) for seq in seqs[-keep:]} - {""}
         if self._journal is not None:
             referenced.add(self._journal.path.name)
-        for _seq, path in entries[-keep:]:
-            try:
-                manifest = json.loads((path / "manifest.json").read_bytes())
-                referenced.add(manifest["journal"]["name"])
-            except (OSError, ValueError, TypeError, KeyError):
-                continue
-        if self.directory.is_dir():
+        if referenced != self._swept and self.directory.is_dir():
             for child in self.directory.iterdir():
                 if _JOURNAL_NAME.fullmatch(child.name) and child.name not in referenced:
                     child.unlink()
-        return removed
+            self._swept = referenced
+        return len(seqs[:-keep])

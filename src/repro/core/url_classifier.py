@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.checkpoint.codec import Log
 from repro.ml.features import (
     HashedVector,
     decode_vector,
@@ -90,6 +91,8 @@ def _make_model(model: str, dim: int, seed: int):
 class _Batch:
     vectors: list[HashedVector] = field(default_factory=list)
     labels: list[int] = field(default_factory=list)
+    #: ``encode_vector`` of a prefix of ``vectors``, built by checkpoints
+    encoded: list[list] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -97,6 +100,12 @@ class _Batch:
     def clear(self) -> None:
         self.vectors.clear()
         self.labels.clear()
+        self.encoded.clear()
+
+    def encode(self) -> list[list]:
+        """``encode_vector`` of every vector, each encoded once."""
+        self.encoded.extend(encode_vector(v) for v in self.vectors[len(self.encoded):])
+        return self.encoded
 
 
 class OnlineUrlClassifier:
@@ -190,8 +199,11 @@ class OnlineUrlClassifier:
             self.model.partial_fit(vectors, labels)
             self.n_batches_trained += 1
             if self.n_batches_trained * self.batch_size < WARM_UP_LABELS:
-                self._replay.vectors.extend(self._batch.vectors)
-                self._replay.labels.extend(self._batch.labels)
+                replay, batch = self._replay, self._batch
+                if len(replay.encoded) == len(replay):  # carry the encoded prefix
+                    replay.encoded.extend(batch.encoded)
+                replay.vectors.extend(batch.vectors)
+                replay.labels.extend(batch.labels)
             else:
                 self._replay.clear()
             self._batch.clear()
@@ -241,27 +253,21 @@ class OnlineUrlClassifier:
     # -- checkpointing (repro.checkpoint) --------------------------------
 
     @staticmethod
-    def _encode_batch(batch: _Batch) -> dict:
-        return {
-            "vectors": [encode_vector(v) for v in batch.vectors],
-            "labels": list(batch.labels),
-        }
-
-    @staticmethod
     def _decode_batch(payload: dict) -> _Batch:
-        return _Batch(
-            vectors=[decode_vector(v) for v in payload["vectors"]],
-            labels=list(payload["labels"]),
-        )
+        encoded = list(payload["vectors"])
+        return _Batch([decode_vector(v) for v in encoded],
+                      list(payload["labels"]), encoded)
 
     def snapshot_state(self) -> dict:
+        batch, replay = self._batch, self._replay
         state = {
             "model": self.model.snapshot_state(),
             "initial_training_phase": self.initial_training_phase,
             "n_batches_trained": self.n_batches_trained,
             "class_seen": list(self._class_seen),
-            "batch": self._encode_batch(self._batch),
-            "replay": self._encode_batch(self._replay),
+            "batch": {"vectors": list(batch.encode()), "labels": list(batch.labels)},
+            # The warm-up window only grows: the store journals its new tail.
+            "replay": {"vectors": Log(replay.encode()), "labels": Log(replay.labels)},
             "prequential": {
                 "total": self._prequential_total,
                 "correct": self._prequential_correct,

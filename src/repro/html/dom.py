@@ -1,4 +1,4 @@
-"""Minimal DOM tree with tag-path segments.
+"""Tag-path segments.
 
 A *tag-path segment* is the canonical string form of one element on a
 root-to-anchor path: ``tag`` + optional ``#id`` + zero or more
@@ -8,57 +8,6 @@ examples (``html body div#main ul.datasets li a``).
 """
 
 from __future__ import annotations
-
-import html as html_escape
-from dataclasses import dataclass, field
-
-
-@dataclass
-class DomElement:
-    """One element of the DOM tree used by the renderer."""
-
-    tag: str
-    elem_id: str | None = None
-    classes: tuple[str, ...] = ()
-    attrs: dict[str, str] = field(default_factory=dict)
-    children: list["DomElement | str"] = field(default_factory=list)
-
-    @property
-    def segment(self) -> str:
-        return render_segment(self.tag, self.elem_id, self.classes)
-
-    def append(self, child: "DomElement | str") -> None:
-        self.children.append(child)
-
-    def find_child(self, segment: str) -> "DomElement | None":
-        """Return the first element child whose segment string matches."""
-        for child in self.children:
-            if isinstance(child, DomElement) and child.segment == segment:
-                return child
-        return None
-
-    def to_html(self, indent: int = 0) -> str:
-        """Serialise this subtree to HTML text."""
-        pad = "  " * indent
-        attrs = []
-        if self.elem_id:
-            attrs.append(f'id="{html_escape.escape(self.elem_id, quote=True)}"')
-        if self.classes:
-            joined = " ".join(self.classes)
-            attrs.append(f'class="{html_escape.escape(joined, quote=True)}"')
-        for key, value in self.attrs.items():
-            attrs.append(f'{key}="{html_escape.escape(value, quote=True)}"')
-        attr_text = (" " + " ".join(attrs)) if attrs else ""
-        if not self.children:
-            return f"{pad}<{self.tag}{attr_text}></{self.tag}>"
-        parts = [f"{pad}<{self.tag}{attr_text}>"]
-        for child in self.children:
-            if isinstance(child, DomElement):
-                parts.append(child.to_html(indent + 1))
-            else:
-                parts.append("  " * (indent + 1) + html_escape.escape(child))
-        parts.append(f"{pad}</{self.tag}>")
-        return "\n".join(parts)
 
 
 def render_segment(tag: str, elem_id: str | None, classes: tuple[str, ...]) -> str:

@@ -192,10 +192,11 @@ class _PageBuilder:
                 del bare_stack[index:]
                 break
         if tag in _LINK_ELEMENTS and self.pending:
-            url, path, texts = self.pending.pop()
-            self.links.append(
-                Link(url=url, tag_path=path, anchor=" ".join(texts).strip())
-            )
+            self._close_link()
+
+    def _close_link(self) -> None:
+        url, path, texts = self.pending.pop()
+        self.links.append(Link(url=url, tag_path=path, anchor=" ".join(texts).strip()))
 
     def data(self, text: str) -> None:
         stripped = text.strip()
@@ -212,10 +213,7 @@ class _PageBuilder:
     def result(self) -> ParsedPage:
         # Flush anchors whose closing tag never came (broken HTML).
         while self.pending:
-            url, path, texts = self.pending.pop()
-            self.links.append(
-                Link(url=url, tag_path=path, anchor=" ".join(texts).strip())
-            )
+            self._close_link()
         return ParsedPage(
             links=self.links,
             text=" ".join(self.text_parts)[: self.text_limit],

@@ -4,8 +4,9 @@ Bundles the website graph, its simulated server and a shared
 parse cache.  Because HTML parsing is deterministic per URL, caching
 parsed pages across crawler runs is behaviour-preserving and mirrors
 the paper's local-replication methodology (every crawler re-reads the
-same stored pages, Sec. 4.4).  Absolute hrefs, which recur across a
-site's pages, are resolved once each (:meth:`CrawlEnvironment.resolve_hrefs`).
+same stored pages, Sec. 4.4).  Absolute and path-absolute hrefs, which
+recur across a site's pages, are resolved once each
+(:meth:`CrawlEnvironment.resolve_hrefs`).
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ from repro.http.faults import FaultPlan, FaultyServer
 from repro.http.messages import Response
 from repro.http.server import SimulatedServer
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.webgraph.model import SiteBoundary, WebsiteGraph
+from repro.webgraph.mime import is_target_mime
+from repro.webgraph.model import Form, Link, SiteBoundary, WebsiteGraph
 
 #: An absolute http(s) href with a non-empty authority.  ``urljoin``
 #: resolves it from the base URL's scheme alone.  The href must not hold
 #: tab, CR or LF: ``urlsplit`` deletes those first, so ``http://\t``
 #: resolves against the base.
 _BASE_FREE_HREF = re.compile(r"https?://[^/?#\t\n\r][^\t\n\r]*\Z")
+#: A path-absolute href (one leading ``/``, no tab, CR or LF): ``urljoin``
+#: resolves it from the base URL's scheme and netloc alone.
+_PATH_ABSOLUTE_HREF = re.compile(r"/(?:[^/\t\n\r][^\t\n\r]*)?\Z")
 
 
 class CrawlEnvironment:
@@ -67,6 +72,8 @@ class CrawlEnvironment:
         self._parse_cache: dict[str, ParsedPage] = {}
         #: base scheme -> base-free href -> resolved URL (see resolve_hrefs)
         self._resolved: dict[str, dict[str, str]] = {}
+        #: base (scheme, netloc) -> path-absolute href -> resolved URL
+        self._resolved_local: dict[tuple[str, str], dict[str, str]] = {}
 
     # -- clients ---------------------------------------------------------
 
@@ -88,8 +95,6 @@ class CrawlEnvironment:
 
     def is_target_mime(self, mime: str | None) -> bool:
         """Target test under this environment's (possibly custom) MIME set."""
-        from repro.webgraph.mime import is_target_mime
-
         return is_target_mime(mime, self.target_mimes)
 
     # -- parsing -----------------------------------------------------------
@@ -103,8 +108,6 @@ class CrawlEnvironment:
         """
         cached = self._parse_cache.get(response.url)
         if cached is None:
-            from repro.webgraph.model import Form, Link
-
             raw = parse_page(response.body)
             urls = self.resolve_hrefs(response.url, [link.url for link in raw.links])
             actions = self.resolve_hrefs(
@@ -127,25 +130,30 @@ class CrawlEnvironment:
     def resolve_hrefs(self, base_url: str, hrefs: list[str]) -> list[str]:
         """``resolve_link(base_url, href)`` for each href, in order.
 
-        Most hrefs on a site are absolute and recur on many pages.  Those
-        the base-free pattern matches resolve once per base scheme, the
-        only part of the base they depend on (``http://a/b;`` keeps its
-        ``;`` under an https base but not under an http one).  Every
-        other href resolves afresh, and an href that raises is never
-        memoised.
+        Most hrefs on a site recur on many pages.  Those the base-free
+        pattern matches resolve once per base scheme, the only part of
+        the base they depend on (``http://a/b;`` keeps its ``;`` under an
+        https base but not under an http one); path-absolute ones once
+        per base scheme and netloc, unless the base is empty (``urljoin``
+        returns the href unparsed).  Every other href resolves afresh,
+        and an href that raises is never memoised.
         """
         if not hrefs:
             return []
         from repro.webgraph.canonical import resolve_link
 
-        memo = self._resolved.setdefault(urlsplit(base_url).scheme, {})
+        parts = urlsplit(base_url)
+        memo = self._resolved.setdefault(parts.scheme, {})
+        local = self._resolved_local.setdefault(parts[:2], {}) if base_url else {}
         urls = []
         for href in hrefs:
-            url = memo.get(href)
+            url = memo.get(href) or local.get(href)
             if url is None:
                 url = resolve_link(base_url, href)
                 if _BASE_FREE_HREF.match(href) is not None:
                     memo[href] = url
+                elif _PATH_ABSOLUTE_HREF.match(href) is not None:
+                    local[href] = url
             urls.append(url)
         return urls
 

@@ -46,9 +46,6 @@ class _LinearModel:
     def predict(self, x: HashedVector) -> int:
         return 1 if self.decision_function(x) > 0.0 else 0
 
-    def predict_many(self, xs: list[HashedVector]) -> list[int]:
-        return [self.predict(x) for x in xs]
-
     def _shuffled_epochs(
         self, batch: list[HashedVector], labels: list[int], epochs: int
     ):

@@ -51,9 +51,6 @@ class MultinomialNaiveBayes:
     def predict(self, x: HashedVector) -> int:
         return 1 if self.decision_function(x) > 0.0 else 0
 
-    def predict_many(self, xs: list[HashedVector]) -> list[int]:
-        return [self.predict(x) for x in xs]
-
     # -- checkpointing (repro.checkpoint) --------------------------------
 
     def snapshot_state(self) -> dict:

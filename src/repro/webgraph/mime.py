@@ -70,35 +70,6 @@ BLOCKLISTED_EXTENSIONS: frozenset[str] = frozenset(
     }
 )
 
-#: Map from URL extension to MIME type, used by the URL synthesiser.
-EXTENSION_TO_MIME: dict[str, str] = {
-    ".html": HTML_MIME,
-    ".php": HTML_MIME,
-    ".asp": HTML_MIME,
-    ".csv": "text/csv",
-    ".tsv": "text/comma-separated-values",
-    ".json": "application/json",
-    ".xml": "application/xml",
-    ".pdf": "application/pdf",
-    ".xls": "application/vnd.ms-excel",
-    ".xlsx": "application/vnd.openxmlformats-officedocument.spreadsheetml.sheet",
-    ".ods": "application/vnd.oasis.opendocument.spreadsheet",
-    ".doc": "application/msword",
-    ".docx": "application/vnd.openxmlformats-officedocument.wordprocessingml.document",
-    ".zip": "application/zip",
-    ".gz": "application/x-gzip",
-    ".tar": "application/x-tar",
-    ".7z": "application/x-7z-compressed",
-    ".rar": "application/vnd.rar",
-    ".yaml": "application/yaml",
-    ".txt": "text/plain",
-    ".png": "image/png",
-    ".jpg": "image/jpeg",
-    ".gif": "image/gif",
-    ".mp3": "audio/mpeg",
-    ".mp4": "video/mp4",
-}
-
 #: Target MIME types the generator draws from, with rough real-web weights.
 GENERATOR_TARGET_MIMES: tuple[tuple[str, float], ...] = (
     ("application/pdf", 0.38),

@@ -97,6 +97,32 @@ def test_sb_resume_past_classifier_warm_up_is_byte_identical(tmp_path):
     assert _fingerprint(run(resumed)) == reference
 
 
+def test_sb_resume_from_a_checkpoint_holding_the_replay_window_inline(tmp_path):
+    """Checkpoints written before the warm-up window went to the journal
+    hold it in state.json; they load under the same schema and resume
+    byte-identically."""
+    reference = _sb_reference()
+    store = CheckpointStore(tmp_path / "journalled")
+    with pytest.raises(CrawlInterrupted):
+        sb_classifier(SBConfig(seed=3)).crawl(
+            _sb_env(), budget=BUDGET,
+            checkpoint=CrawlCheckpointer(store=store, interrupt_at=33),
+        )
+    loaded = store.read_latest()
+    replay = loaded.payload["components"]["classifier"]["replay"]
+    assert replay["vectors"] and type(replay["vectors"]) is list
+    inline = CheckpointStore(tmp_path / "inline")
+    path = inline.write_checkpoint(loaded.payload, step=loaded.step)
+    state = json.loads((path / "state.json").read_text())
+    assert state["components"]["classifier"]["replay"] == replay
+    resumed = CrawlCheckpointer(store=inline)
+    resumed.arm_resume(inline.read_latest())
+    result = sb_classifier(SBConfig(seed=3)).crawl(
+        _sb_env(), budget=BUDGET, checkpoint=resumed
+    )
+    assert _fingerprint(result) == reference
+
+
 def test_sb_resume_replays_a_multi_level_action_space(tmp_path):
     """``ed``'s unique-id DOM noise yields many distinct tag paths: at
     step 20 the action space holds more than M = 8 actions, so the

@@ -175,6 +175,53 @@ def test_prune_old_keeps_the_newest_generations(tmp_path):
     assert store.read_latest().step == 5
 
 
+def test_prune_old_removes_stray_temp_files_of_a_torn_write(tmp_path):
+    store = CheckpointStore(tmp_path)
+    first = store.write_checkpoint(_payload(1), step=1)
+    (first / "state.json.tmp").write_bytes(b"torn")
+    for step in (2, 3):
+        store.write_checkpoint(_payload(step), step=step)
+    assert store.prune_old(keep=2) == 1
+    assert not first.exists()
+    assert [entry.step for entry in store.read_all()] == [2, 3]
+
+
+def test_a_store_learns_the_checkpoints_another_writer_added(tmp_path):
+    """The next seq comes from the checkpoints a store knows; a name
+    another store object took makes it rescan, and pruning then sees
+    every checkpoint."""
+    first = CheckpointStore(tmp_path)
+    first.write_checkpoint(_payload(1), step=1)
+    other = CheckpointStore(tmp_path)
+    other.write_checkpoint(_payload(2), step=2)
+    other.write_checkpoint(_payload(3), step=3)
+    assert first.write_checkpoint(_payload(4), step=4).name == "ckpt-00000004"
+    assert [entry.seq for entry in first.read_all()] == [1, 2, 3, 4]
+    assert first.prune_old(keep=2) == 2
+    assert [entry.step for entry in first.read_all()] == [3, 4]
+
+
+def test_saves_and_prunes_reread_no_manifest_and_rescan_nothing(tmp_path, monkeypatch):
+    """A store scans its directory once, reads no manifest it wrote
+    itself, and sweeps journals only when the referenced set changes."""
+    from pathlib import Path
+
+    calls = []
+    read_bytes, iterdir = Path.read_bytes, Path.iterdir
+    monkeypatch.setattr(
+        Path, "read_bytes", lambda self: calls.append(self.name) or read_bytes(self))
+    monkeypatch.setattr(
+        Path, "iterdir", lambda self: calls.append("iterdir") or iterdir(self))
+    store = CheckpointStore(tmp_path)
+    for n in range(1, 7):
+        store.write_checkpoint(_crawl_payload(n), step=n)
+        store.prune_old(keep=2)
+    # one scan on first use, one sweep at the first prune
+    assert calls == ["iterdir", "iterdir"]
+    assert _journals(tmp_path) == ["journal-00000001.jsonl"]
+    assert store.read_latest().payload == _crawl_payload(6)
+
+
 def test_store_relocates_freely(tmp_path):
     """Payloads hold no absolute paths: moving the directory must not
     invalidate the digest."""

@@ -32,6 +32,14 @@ def test_cli_rejects_unknown_experiment():
         main(["table99"])
 
 
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_cli_rejects_a_run_count_below_one(runs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["table4", "--scale", "0.05", "--runs", runs])
+    assert exit_info.value.code == 2
+    assert "--runs must be at least 1" in capsys.readouterr().err
+
+
 def test_precheck_builds_the_documented_commands():
     """The pre-PR check bundles lint + doc gates (docs/static_analysis.md)."""
     from repro.precheck import build_commands, repo_root

@@ -221,3 +221,29 @@ def test_pending_vectors_checkpointed_only_for_url_cont():
     del state["pending"]
     with pytest.raises(CheckpointError):
         OnlineUrlClassifier(batch_size=10, feature_set="URL_CONT").restore_state(state)
+
+
+def test_snapshots_encode_each_vector_once(monkeypatch):
+    """Saves mid-batch, across warm-up fits and after the window is
+    dropped encode every vector at most once, and each snapshot holds
+    the same vectors a fresh encoding gives."""
+    import repro.core.url_classifier as module
+    from repro.checkpoint.codec import Log
+    from repro.ml.features import encode_vector
+
+    encoded = []
+    monkeypatch.setattr(
+        module, "encode_vector", lambda v: encoded.append(v) or encode_vector(v))
+    classifier = OnlineUrlClassifier(batch_size=10)
+    for i in range(WARM_UP_LABELS + 40):
+        label = UrlClass.TARGET if i % 3 == 0 else UrlClass.HTML
+        classifier.add_labeled(f"https://s.example/p/{i}", label)
+        if i % 7 == 3:
+            state = classifier.snapshot_state()
+            for name, batch in (("batch", classifier._batch),
+                                ("replay", classifier._replay)):
+                assert state[name]["vectors"] == [encode_vector(v) for v in batch.vectors]
+                assert state[name]["labels"] == batch.labels
+            assert isinstance(state["replay"]["vectors"], Log)
+    assert len(encoded) == len({id(v) for v in encoded})
+    assert classifier._replay.vectors == []

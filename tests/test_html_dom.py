@@ -1,8 +1,8 @@
-"""Tests for DOM segments and serialisation."""
+"""Tests for tag-path segments."""
 
 import pytest
 
-from repro.html.dom import DomElement, parse_segment, render_segment
+from repro.html.dom import parse_segment, render_segment
 
 
 def test_segment_round_trip():
@@ -20,34 +20,3 @@ def test_parse_segment_components():
 def test_parse_segment_rejects_empty_tag():
     with pytest.raises(ValueError):
         parse_segment("#justid")
-
-
-def test_element_segment_property():
-    element = DomElement("div", "main", ("container",))
-    assert element.segment == "div#main.container"
-
-
-def test_find_child():
-    parent = DomElement("div")
-    child = DomElement("ul", None, ("menu",))
-    parent.append(child)
-    assert parent.find_child("ul.menu") is child
-    assert parent.find_child("ul.other") is None
-
-
-def test_to_html_escapes_attributes_and_text():
-    element = DomElement("a", attrs={"href": 'x?a=1&b="2"'})
-    element.append("Tom & Jerry <3")
-    html = element.to_html()
-    assert "&amp;" in html
-    assert "&lt;3" in html
-    assert 'href="x?a=1&amp;b=&quot;2&quot;"' in html
-
-
-def test_to_html_nested_structure():
-    root = DomElement("html")
-    body = DomElement("body")
-    root.append(body)
-    body.append(DomElement("p"))
-    html = root.to_html()
-    assert html.index("<body>") < html.index("<p>") < html.index("</body>")

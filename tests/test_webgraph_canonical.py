@@ -153,3 +153,58 @@ def test_memo_keeps_the_base_scheme():
     assert resolve_link("http://x.example/", href) != resolve_link(
         "https://x.example/", href
     )
+
+
+#: bases that differ in scheme, host, port and case, plus scheme-less,
+#: relative, empty and malformed ones
+_SITE_BASES = st.one_of(
+    st.builds(
+        lambda scheme, host, port, path: scheme + host + port + path,
+        st.sampled_from(["http://", "https://", "HTTP://", "Https://", "ftp://",
+                         "mailto:", "//", ""]),
+        st.sampled_from(["a.example", "A.Example", "www.a.example",
+                         "b.example", "[::1]", "[::1", "u@a.example", ""]),
+        st.sampled_from(["", ":80", ":443", ":8080", ":x", ":"]),
+        st.sampled_from(["", "/", "/dir/page", "/dir/", "/a;b?q#f", "page.html"]),
+    ),
+    st.just(""),
+)
+_PATH_ABSOLUTE = st.builds(
+    lambda first, rest: "/" + first + rest,
+    st.sampled_from(["", "a", ".", "..", ";", "?", "#", "%2F", "é", " ", ":"]),
+    st.text(alphabet="ab/.;?#=&:%é ", max_size=15),
+)
+
+
+@given(st.lists(st.tuples(_SITE_BASES, _PATH_ABSOLUTE), min_size=1, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_path_absolute_hrefs_resolve_as_resolve_link(small_site, pairs):
+    """Path-absolute hrefs are memoised per base scheme and netloc: in
+    any call order, each answer is ``resolve_link``'s, errors included."""
+    from repro.http.environment import CrawlEnvironment
+
+    env = CrawlEnvironment(small_site)
+    for base, href in pairs + pairs[::-1]:
+        try:
+            want = resolve_link(base, href)
+        except ValueError:
+            with pytest.raises(ValueError):
+                env.resolve_hrefs(base, [href])
+            continue
+        assert env.resolve_hrefs(base, [href]) == [want], (base, href)
+
+
+def test_path_absolute_memo_keeps_the_base_netloc_and_empty_base():
+    """``/p;`` keeps its ``;`` under an empty base, which ``urljoin``
+    does not parse, and loses it under ``x``, whose scheme and netloc
+    are as empty; a port is part of the netloc."""
+    from repro.http.environment import CrawlEnvironment
+    from repro.webgraph.generator import generate_site
+    from tests.conftest import make_profile
+
+    env = CrawlEnvironment(generate_site(make_profile(n_pages=30)))
+    for base, href in [("", "/p;"), ("x", "/p;"), ("", "/p;"),
+                       ("http://a.example/", "/q"), ("http://a.example:8080/", "/q"),
+                       ("http://A.example/", "/q")]:
+        assert env.resolve_hrefs(base, [href]) == [resolve_link(base, href)]
+    assert resolve_link("", "/p;") != resolve_link("x", "/p;")
