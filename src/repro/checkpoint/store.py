@@ -223,7 +223,7 @@ class CheckpointStore:
             name = child.name
             if child.is_dir() and name.startswith(_CKPT_PREFIX):
                 suffix = name[len(_CKPT_PREFIX):]
-                if suffix.isdigit():
+                if suffix.isascii() and suffix.isdigit():
                     entries.append((int(suffix), child))
         return sorted(entries)
 

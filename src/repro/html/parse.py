@@ -27,6 +27,22 @@ Two rules differ from that module.  A repeated attribute keeps its
 first value, as in the HTML5 tokenizer.  A ``<![`` section other than
 CDATA or an MS Office conditional, on which ``html.parser`` raises, is
 skipped up to the next ``>`` as the HTML5 tokenizer does.
+
+The scanning pattern ``_TOKEN`` takes a text run and the common markup
+after it in one match: a start tag whose attributes are all
+double-quoted, an end tag, or a whole ``<a ...>text</a>`` with such a
+start tag and no ``<`` in its text.  A whole anchor is recorded at
+once, as its start tag, text and end tag would be.  Other markup
+starts with a lone ``<`` and takes the general rules, after which the
+scan restarts at the end of the markup they handled, so a long padding
+comment is never searched ahead.
+
+A start tag that only opens an element on the tag-path stack (not
+``a``/``area``/``iframe``, ``title``, ``form``/``select``/``option``,
+``script`` or ``style``) is memoised by its raw name and attribute
+text: rendered pages repeat the same layout tags on every page.  The
+memo holds at most ``_LAYOUT_TAGS_MAX`` entries and is emptied when
+full.
 """
 
 from __future__ import annotations
@@ -50,16 +66,18 @@ _LINK_ELEMENTS = {"a": "href", "area": "href", "iframe": "src"}
 
 # -- tokenizer patterns (CPython 3.11 html.parser) ---------------------------
 
-#: The text before the next ``<`` (group 1) and the common tags that
-#: follow it: a start tag whose attributes are all ``name="value"``
-#: after ASCII whitespace (groups 2-4), or an end tag (group 5).  Every
-#: tag it matches tokenizes as under the general rules below; anything
-#: else takes those rules.
+_FAST_ATTRS = (r'((?:[\t\n\r\f ]+[a-zA-Z_:][-a-zA-Z0-9_:.]*="[^"]*")*)'
+               r'[\t\n\r\f ]*')
+#: One token: a text run (group 1), which may be empty, then a whole
+#: anchor, its attributes (group 2) and text (group 3); a start tag whose
+#: attributes are all ``name="value"`` after ASCII whitespace (groups
+#: 4-6); an end tag (group 7); a lone ``<``, which takes the general
+#: rules below; or nothing, at the end of the document.  Every tag it
+#: matches tokenizes as under those rules.
 _TOKEN = re.compile(
-    r'([^<]*)<(?:([a-zA-Z][^\t\n\r\f />\x00]*)'
-    r'((?:[\t\n\r\f ]+[a-zA-Z_:][-a-zA-Z0-9_:.]*="[^"]*")*)'
-    r'[\t\n\r\f ]*(/?)>'
-    r'|/\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>)'
+    r'([^<]*)(?:<(?:[aA]' + _FAST_ATTRS + r'>([^<]*)</\s*[aA]\s*>'
+    r'|([a-zA-Z][^\t\n\r\f />\x00]*)' + _FAST_ATTRS + r'(/?)>'
+    r'|/\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>)?)?'
 )
 _QUOTED_ATTR = re.compile(r'([a-zA-Z_:][-a-zA-Z0-9_:.]*)="([^"]*)"')
 _ASCII_LETTERS = frozenset(string.ascii_letters)
@@ -89,6 +107,16 @@ _COMMENT_CLOSE = re.compile(r'--\s*>')
 _DECL_NAME = re.compile(r'[a-zA-Z][-_.a-zA-Z0-9]*\s*')
 _MARKED_SECTION_CLOSE = re.compile(r']\s*]\s*>')
 _MS_MARKED_SECTION_CLOSE = re.compile(r']\s*>')
+#: start tags with an effect beyond the tag-path stack (never memoised)
+_NOT_LAYOUT = frozenset(
+    {*_LINK_ELEMENTS, "title", "form", "select", "option", "script", "style"}
+)
+#: end tags with an effect beyond popping the tag-path stack
+_NOT_LAYOUT_END = frozenset({*_LINK_ELEMENTS, "title", "form", "select"})
+#: raw ``name + attribute text`` -> (segment, bare tag, void) of a layout
+#: start tag matched by ``_TOKEN``
+_LAYOUT_TAGS: dict[str, tuple[str, str, bool]] = {}
+_LAYOUT_TAGS_MAX = 4096
 #: end of the raw text opened by ``<script>`` / ``<style>``
 _RAW_TEXT_CLOSE = {
     tag: re.compile(r'</\s*%s\s*>' % tag, re.I) for tag in ("script", "style")
@@ -131,14 +159,7 @@ class _PageBuilder:
         """A start tag; ``closed`` for the self-closing ``<tag/>`` form,
         which only records a link.  ``attrs`` holds the first value of
         each attribute, as in the HTML5 tokenizer."""
-        elem_id = attrs.get("id")
-        classes = attrs.get("class")
-        if elem_id or classes:
-            segment = render_segment(
-                tag, elem_id, tuple(classes.split()) if classes else ()
-            )
-        else:
-            segment = tag
+        segment = _segment(tag, attrs)
         url_attr = _LINK_ELEMENTS.get(tag)
         url = attrs.get(url_attr) if url_attr else None
         if closed:
@@ -194,6 +215,23 @@ class _PageBuilder:
         if tag in _LINK_ELEMENTS and self.pending:
             self._close_link()
 
+    def anchor(self, attrs: dict[str, str | None], text: str) -> None:
+        """A whole ``<a ...>text</a>`` outside ``<title>``: the link, or
+        the closing of an enclosing one, and the text sample that its
+        start tag, text and end tag would give."""
+        stripped = text.strip()
+        url = attrs.get("href")
+        if url:
+            path = " ".join([*self.stack, _segment("a", attrs)])
+            self.links.append(Link(url, path, stripped))
+        elif self.pending:
+            if stripped:
+                self.pending[-1][2].append(stripped)
+            self._close_link()
+        if stripped and self.text_len < self.text_limit:
+            self.text_parts.append(stripped)
+            self.text_len += len(stripped) + 1
+
     def _close_link(self) -> None:
         url, path, texts = self.pending.pop()
         self.links.append(Link(url=url, tag_path=path, anchor=" ".join(texts).strip()))
@@ -220,6 +258,26 @@ class _PageBuilder:
             title=" ".join(self.title_parts),
             forms=self.forms,
         )
+
+
+def _segment(tag: str, attrs: dict[str, str | None]) -> str:
+    """The tag-path segment of a start tag."""
+    elem_id = attrs.get("id")
+    classes = attrs.get("class")
+    if elem_id or classes:
+        return render_segment(tag, elem_id, tuple(classes.split()) if classes else ())
+    return tag
+
+
+def _quoted_attributes(attr_text: str) -> dict[str, str | None]:
+    """The attributes ``_TOKEN`` matched, first value of each kept."""
+    attrs: dict[str, str | None] = {}
+    if attr_text:
+        for key, value in _QUOTED_ATTR.findall(attr_text):
+            if "&" in value:
+                value = unescape(value)
+            attrs.setdefault(key.lower(), value)
+    return attrs
 
 
 # -- the general rules, for markup the fast pattern does not match -----------
@@ -331,7 +389,9 @@ def _marked_section(html: str, i: int) -> int | None:
 def parse_page(html_text: str, text_limit: int = 4000) -> ParsedPage:
     """Parse an HTML document into links (with tag paths), text and title."""
     page = _PageBuilder(text_limit)
-    start, end, data = page.start, page.end, page.data
+    start, end, data, anchor = page.start, page.end, page.data, page.anchor
+    stack, bare_stack = page.stack, page.bare_stack
+    layout_tags = _LAYOUT_TAGS
     html = html_text
     n = len(html)
     find = html.find
@@ -356,34 +416,54 @@ def parse_page(html_text: str, text_limit: int = 4000) -> ParsedPage:
             i = k
             continue
         token = match_token(html, i)
-        if token is not None:
-            text, name, attr_text, closed, end_name = token.groups()
-            if text and not text.isspace():  # else it strips to nothing
-                data(unescape(text) if "&" in text else text)
-            i = token.end()
-            if end_name is not None:
-                end(end_name.lower())
-                continue
-            name = name.lower()
-            attrs: dict[str, str | None] = {}
-            if attr_text:
-                for key, value in _QUOTED_ATTR.findall(attr_text):
-                    if "&" in value:
-                        value = unescape(value)
-                    attrs.setdefault(key.lower(), value)
-            start(name, attrs, closed == "/")
-            if not closed and name in _RAW_TEXT_CLOSE:
-                raw_text = name
-            continue
-        j = find("<", i)
-        if j < 0:
-            j = n
-        if i < j:
-            text = html[i:j]
+        text, attr_text, anchor_text, name, tag_attrs, closed, end_name = (
+            token.groups()
+        )
+        if text and not text.isspace():  # else it strips to nothing
             data(unescape(text) if "&" in text else text)
-            if j == n:
-                break
-            i = j
+        i = token.end()
+        if name is not None:  # a start tag
+            key = name + tag_attrs
+            layout = layout_tags.get(key)
+            if layout is None:
+                tag = name.lower()
+                attrs = _quoted_attributes(tag_attrs)
+                if tag in _NOT_LAYOUT:
+                    start(tag, attrs, closed == "/")
+                    if not closed and tag in _RAW_TEXT_CLOSE:
+                        raw_text = tag
+                    continue
+                layout = (_segment(tag, attrs), tag.split("#")[0].split(".")[0],
+                          tag in _VOID_ELEMENTS)
+                if len(layout_tags) >= _LAYOUT_TAGS_MAX:
+                    layout_tags.clear()
+                layout_tags[key] = layout
+            if not (closed or layout[2]):
+                stack.append(layout[0])
+                bare_stack.append(layout[1])
+            continue
+        if end_name is not None:
+            tag = end_name.lower()
+            if bare_stack and bare_stack[-1] == tag and tag not in _NOT_LAYOUT_END:
+                del stack[-1], bare_stack[-1]
+            else:
+                end(tag)
+            continue
+        if anchor_text is not None:
+            if "&" in anchor_text:
+                anchor_text = unescape(anchor_text)
+            attrs = _quoted_attributes(attr_text)
+            if page.in_title:
+                start("a", attrs, False)
+                data(anchor_text)
+                end("a")
+            else:
+                anchor(attrs, anchor_text)
+            continue
+        if html[i - 1:i] != "<":  # the end of the document
+            break
+        i -= 1
+        # A lone "<": the general rules.
         following = html[i + 1:i + 2]
         if following in _ASCII_LETTERS:
             k, raw_text = _start_tag(html, i, page)

@@ -114,7 +114,7 @@ class CrawlEnvironment:
                 response.url, [form.action for form in raw.forms]
             )
             resolved = [
-                Link(url=url, tag_path=link.tag_path, anchor=link.anchor)
+                Link(url, link.tag_path, link.anchor)
                 for url, link in zip(urls, raw.links)
             ]
             forms = [

@@ -9,13 +9,27 @@ once" breaks.
 
 Canonical form: resolved absolute URL, scheme/host lowercased, default
 ports dropped, fragment removed, empty path normalised to ``/``.
+
+Most hrefs a crawler meets are plain absolute URLs (``_PLAIN_ABSOLUTE``).
+``urljoin`` returns such an href unchanged whatever the base: it has its
+own netloc, and without a ``;`` re-assembling it loses at most an empty
+``?`` or ``#``.  Its canonical form is cut out of the string, with no
+``urljoin`` or ``urlsplit``.
 """
 
 from __future__ import annotations
 
+import re
 from urllib.parse import urljoin, urlsplit, urlunsplit
 
 _DEFAULT_PORTS = {"http": "80", "https": "443"}
+
+#: An absolute http(s) URL with a lower-case dotted host, no port or
+#: userinfo, and the rest printable ASCII without ``;``: its origin
+#: (group 1), then path, query and fragment as written (group 2).
+_PLAIN_ABSOLUTE = re.compile(
+    r"(https?://[a-z0-9-]+(?:\.[a-z0-9-]+)+)((?:[/?#][ -:<-~]*)?)\Z"
+)
 
 
 def canonicalize_url(url: str) -> str:
@@ -37,4 +51,9 @@ def canonicalize_url(url: str) -> str:
 
 def resolve_link(base_url: str, href: str) -> str:
     """Resolve one href against its page URL and canonicalise it."""
-    return canonicalize_url(urljoin(base_url, href))
+    plain = _PLAIN_ABSOLUTE.match(href)
+    if plain is None:
+        return canonicalize_url(urljoin(base_url, href))
+    origin, rest = plain.groups()
+    path, _, query = rest.partition("#")[0].partition("?")
+    return f"{origin}{path or '/'}?{query}" if query else origin + (path or "/")

@@ -165,6 +165,21 @@ def test_read_all_returns_ascending_and_skips_corrupt(tmp_path):
     assert [entry.step for entry in loaded] == [1, 3]
 
 
+def test_a_non_ascii_digit_suffix_is_not_a_checkpoint(tmp_path):
+    """``"²".isdigit()`` holds but ``int("²")`` raises; ``"٣"`` would
+    read as 3.  Neither directory is a checkpoint."""
+    store = CheckpointStore(tmp_path)
+    store.write_checkpoint(_payload(1), step=1)
+    (tmp_path / "ckpt-\u00b2").mkdir()
+    (tmp_path / "ckpt-\u0663").mkdir()
+    for reader in (store, CheckpointStore(tmp_path)):
+        assert reader.read_latest().step == 1
+        assert [entry.step for entry in reader.read_all()] == [1]
+    assert store.write_checkpoint(_payload(2), step=2).name == "ckpt-00000002"
+    assert store.prune_old(keep=1) == 1
+    assert (tmp_path / "ckpt-\u00b2").is_dir()
+
+
 def test_prune_old_keeps_the_newest_generations(tmp_path):
     store = CheckpointStore(tmp_path)
     for step in range(1, 6):

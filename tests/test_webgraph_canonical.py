@@ -1,5 +1,7 @@
 """Tests for URL resolution and canonicalisation."""
 
+from urllib.parse import urljoin
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,3 +210,46 @@ def test_path_absolute_memo_keeps_the_base_netloc_and_empty_base():
                        ("http://A.example/", "/q")]:
         assert env.resolve_hrefs(base, [href]) == [resolve_link(base, href)]
     assert resolve_link("", "/p;") != resolve_link("x", "/p;")
+
+
+# -- plain absolute hrefs (resolve_link without urljoin) ------------------
+
+#: absolute hrefs near the plain form ``resolve_link`` cuts up without
+#: ``urljoin``, and the ways out of it
+_ABSOLUTE_HREFS = st.builds(
+    lambda scheme, host, rest: scheme + host + rest,
+    st.sampled_from(["http://", "https://", "HTTP://", "Https://", "ftp://",
+                     "http:/", "http:", "\thttp://"]),
+    st.sampled_from(["a.example", "www.a-b.example", "A.Example", "a.example:80",
+                     "a.example:8080", "a.example:", "u@a.example", "u:p@a.example",
+                     "localhost", "[::1]", "[::1", "a.\u00e9xample", "a.example.",
+                     "1.2.3.4", ""]),
+    st.text(alphabet="ab/.?#;=&:%@[] \t\r\nA\u00e9~\\", max_size=15),
+)
+_RESOLVE_BASES = st.sampled_from([
+    "", "page.html", "../up/", "ftp://f.example/d/", "mailto:x@y.example",
+    "//a.example/p", "http://x.example/d/p", "https://x.example/d/p;q?r#s",
+    "HTTPS://X.Example:443/", "https://[::1]:8080/p",
+])
+
+
+@given(_RESOLVE_BASES, st.one_of(_ABSOLUTE_HREFS, _HREFS))
+@settings(max_examples=400, deadline=None)
+def test_resolve_link_is_canonicalised_urljoin(base, href):
+    """Plain absolute hrefs skip ``urljoin``; every href resolves as if
+    they did not, errors included."""
+    try:
+        want = canonicalize_url(urljoin(base, href))
+    except ValueError:
+        with pytest.raises(ValueError):
+            resolve_link(base, href)
+        return
+    assert resolve_link(base, href) == want
+
+
+def test_plain_absolute_hrefs_keep_query_and_drop_fragment():
+    for base in ("", "ftp://f.example/", "https://x.example/d/p"):
+        assert resolve_link(base, "http://a.example") == "http://a.example/"
+        assert resolve_link(base, "http://a.example?q=1#f") == "http://a.example/?q=1"
+        assert resolve_link(base, "https://a.example/p?#f?x") == "https://a.example/p"
+        assert resolve_link(base, "https://a.example/a/../b") == "https://a.example/a/../b"
