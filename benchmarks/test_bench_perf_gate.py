@@ -1,7 +1,8 @@
 """Throughput regression gate on the crawl benchmark (``perfbench/``).
 
-Runs ``perfbench/run.py`` on its two throughput workloads, ``sb-warm``
-(crawler cost) and ``bfs-cold`` (simulator floor).  A run fails the gate
+Runs ``perfbench/run.py`` on each of its workloads: ``sb-warm`` (crawler
+cost), ``bfs-cold`` (simulator floor) and ``sb-durable`` (checkpoints, a
+JSONL trace and injected faults beside the crawl).  A run fails the gate
 when its output checks fail, or when its end-to-end ``pages_per_s``
 falls below :data:`FLOOR` times the median committed in
 ``bench_results/perfbench_baseline.json``.  A faster run always passes.
@@ -34,7 +35,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "bench_results" / "perfbench_baseline.json"
-WORKLOADS = ("sb-warm", "bfs-cold")
+WORKLOADS = ("sb-warm", "bfs-cold", "sb-durable")
 SEED = 1
 SECONDS = 15
 #: fraction of the baseline median a run must reach

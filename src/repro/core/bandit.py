@@ -63,11 +63,19 @@ class SleepingBandit:
         """Argmax of the AUER score over the awake actions."""
         if not awake_actions:
             raise ValueError("no awake action to select")
+        # ``ensure_arm`` and ``score`` inlined, with ``log(t)`` taken once:
+        # arms are created in the same order and each score makes the
+        # IEEE operations of ``score`` in its order, so the argmax, its
+        # ties and ``last_score`` keep their bits.
+        arms, alpha, epsilon, sqrt = self.arms, self.alpha, self.epsilon, math.sqrt
+        log_t = math.log(t) if t > 1 else 0.0
         best_action = awake_actions[0]
         best_score = -math.inf
         for action_id in awake_actions:
-            self.ensure_arm(action_id)
-            score = self.score(action_id, t)
+            arm = arms.get(action_id)
+            if arm is None:
+                arm = arms[action_id] = ArmState()
+            score = arm.mean_reward + alpha * sqrt(log_t / (arm.n_selected + epsilon))
             if score > best_score:
                 best_score = score
                 best_action = action_id

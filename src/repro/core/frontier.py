@@ -215,7 +215,8 @@ class Frontier:
 
     def awake_actions(self) -> list[int]:
         """Actions that still have unvisited links (1_a(t) = 1)."""
-        return [a for a, p in self._pools.items() if len(p) > 0]
+        # A pool's ``_items`` directly: ``len(p)`` is a Python-level call.
+        return [a for a, p in self._pools.items() if p._items]
 
     # -- instrumentation (repro.obs) -------------------------------------
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
+from repro.webgraph.canonical import PLAIN_ABSOLUTE
+
 
 @dataclass
 class RobotsPolicy:
@@ -31,9 +33,18 @@ class RobotsPolicy:
         """Longest-prefix-match decision; empty Disallow allows all."""
         if not self.allow and not self.disallow:
             return True
-        parts = urlsplit(url)
-        path = parts.path or "/"
-        query = parts.query
+        plain = PLAIN_ABSOLUTE.match(url)
+        if plain is None:
+            parts = urlsplit(url)
+            path, query = parts.path, parts.query
+        else:
+            # Exact: a plain absolute URL has no tab, CR, LF or leading
+            # space for urlsplit to strip, and its netloc ends at the
+            # first of "/?#", which starts group 2.  urlsplit then cuts
+            # the fragment at the first "#" and the query at the first
+            # "?" of what is left: the same two partitions.
+            path, _, query = plain.group(2).partition("#")[0].partition("?")
+        path = path or "/"
         if query:
             path = f"{path}?{query}"
         best_allow = -1

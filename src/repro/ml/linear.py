@@ -126,10 +126,21 @@ class LogisticRegressionSGD(_LinearModel):
         multiply, add, subtract, exp = np.multiply, np.add, np.subtract, math.exp
         weights, bias, n_updates = self.weights, self.bias, self.n_updates
         order = list(range(len(batch)))
+        getrandbits = self._rng.getrandbits
         for _ in range(self.epochs):
             # The same shuffles as ``_shuffled_epochs``: one list, shuffled
-            # in place once per epoch.
-            self._rng.shuffle(order)
+            # in place once per epoch.  This is ``random.Random.shuffle``
+            # with its ``_randbelow_with_getrandbits`` inlined: the same
+            # Fisher-Yates swaps from the top, each index drawn with
+            # ``getrandbits(n.bit_length())`` and redrawn while >= n, so
+            # the RNG stream and the order keep their values.
+            for top in range(len(order) - 1, 0, -1):
+                n = top + 1
+                k = n.bit_length()
+                j = getrandbits(k)
+                while j >= n:
+                    j = getrandbits(k)
+                order[top], order[j] = order[j], order[top]
             for i in order:
                 step = steps[i]
                 if step is None:
@@ -138,8 +149,15 @@ class LogisticRegressionSGD(_LinearModel):
                 # One gather and one scatter per step: the indices are
                 # sorted and unique, so this equals ``weights[indices] -=``.
                 w = weights[indices]
-                # Not an if/elif clamp: this one turns a NaN z into 30.0.
-                z = max(-30.0, min(30.0, float(w.dot(values)) + bias))
+                # The clamp ``max(-30.0, min(30.0, z))`` without two
+                # builtin calls.  ``not z <= 30.0`` is also true for a NaN
+                # z, which becomes 30.0 as ``min(30.0, nan)`` made it; a
+                # z inside the bounds, -0.0 included, is kept as it is.
+                z = float(w.dot(values)) + bias
+                if not z <= 30.0:
+                    z = 30.0
+                elif z < -30.0:
+                    z = -30.0
                 gradient = 1.0 / (1.0 + exp(-z)) - y
                 gradient_0d[()] = gradient
                 multiply(gradient_0d, values, t)

@@ -10,7 +10,7 @@ once" breaks.
 Canonical form: resolved absolute URL, scheme/host lowercased, default
 ports dropped, fragment removed, empty path normalised to ``/``.
 
-Most hrefs a crawler meets are plain absolute URLs (``_PLAIN_ABSOLUTE``).
+Most hrefs a crawler meets are plain absolute URLs (``PLAIN_ABSOLUTE``).
 ``urljoin`` returns such an href unchanged whatever the base: it has its
 own netloc, and without a ``;`` re-assembling it loses at most an empty
 ``?`` or ``#``.  Its canonical form is cut out of the string, with no
@@ -27,7 +27,10 @@ _DEFAULT_PORTS = {"http": "80", "https": "443"}
 #: An absolute http(s) URL with a lower-case dotted host, no port or
 #: userinfo, and the rest printable ASCII without ``;``: its origin
 #: (group 1), then path, query and fragment as written (group 2).
-_PLAIN_ABSOLUTE = re.compile(
+#: ``urlsplit`` of such a URL splits group 2 at its first ``#`` and then
+#: its first ``?``; robots.txt matching (``repro.http.robots``) relies on
+#: that too.
+PLAIN_ABSOLUTE = re.compile(
     r"(https?://[a-z0-9-]+(?:\.[a-z0-9-]+)+)((?:[/?#][ -:<-~]*)?)\Z"
 )
 
@@ -51,7 +54,7 @@ def canonicalize_url(url: str) -> str:
 
 def resolve_link(base_url: str, href: str) -> str:
     """Resolve one href against its page URL and canonicalise it."""
-    plain = _PLAIN_ABSOLUTE.match(href)
+    plain = PLAIN_ABSOLUTE.match(href)
     if plain is None:
         return canonicalize_url(urljoin(base_url, href))
     origin, rest = plain.groups()

@@ -211,7 +211,7 @@ def test_bench_baseline_document_is_committed():
     doc = json.loads(baseline.read_text())
     assert doc["metric"] == "pages_per_s"
     assert {"seed", "seconds", "python"} <= set(doc)
-    assert set(doc["workloads"]) == {"sb-warm", "bfs-cold"}
+    assert set(doc["workloads"]) == {"sb-warm", "bfs-cold", "sb-durable"}
     for entry in doc["workloads"].values():
         assert len(entry["runs"]) >= 5
         assert entry["median"] == statistics.median(entry["runs"]) > 0

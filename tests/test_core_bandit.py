@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.bandit import DEFAULT_ALPHA, SleepingBandit
+from repro.core.bandit import DEFAULT_ALPHA, ArmState, SleepingBandit
 
 
 def test_default_alpha_is_2sqrt2():
@@ -53,6 +55,69 @@ def test_select_prefers_high_mean_when_explored():
 def test_select_requires_awake_actions():
     with pytest.raises(ValueError):
         SleepingBandit().select([], t=1)
+
+
+def _reference_select(bandit, awake_actions, t):
+    """``SleepingBandit.select`` before it inlined its helpers: one
+    ``ensure_arm`` and one ``score`` (with its own ``log(t)``) per arm."""
+    best_action = awake_actions[0]
+    best_score = -math.inf
+    for action_id in awake_actions:
+        bandit.ensure_arm(action_id)
+        score = bandit.score(action_id, t)
+        if score > best_score:
+            best_score = score
+            best_action = action_id
+    bandit.last_score = best_score
+    return best_action
+
+
+def _bits(bandit):
+    return bandit.last_score.hex(), [
+        (a, s.n_selected, s.mean_reward.hex(), s.total_reward.hex())
+        for a, s in bandit.arms.items()
+    ]
+
+
+#: few distinct values, so equal scores (ties) are common
+_MEANS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1 / 3, 10.0]),
+    st.floats(-100.0, 100.0, allow_nan=False),
+)
+
+
+@given(
+    arms=st.dictionaries(
+        st.integers(0, 12),
+        st.tuples(st.integers(0, 5), _MEANS, _MEANS),
+        max_size=10,
+    ),
+    awake=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+    t=st.one_of(st.sampled_from([0, 1, 2, 10**6]), st.integers(0, 10**9)),
+    alpha=st.sampled_from([DEFAULT_ALPHA, 1.0, 0.0]),
+    epsilon=st.sampled_from([1e-6, 0.5, 0.0]),
+)
+@settings(max_examples=400)
+def test_select_equals_ensure_arm_score_loop(arms, awake, t, alpha, epsilon):
+    """Same winner, same ``last_score`` bits and the same ``arms`` dict
+    (unseen arms created in the same order) as the helper loop, over
+    random arm states with ties, unseen and never-selected arms."""
+    bandits = []
+    for _ in range(2):
+        bandit = SleepingBandit(alpha=alpha, epsilon=epsilon)
+        for action_id, (n_selected, mean, total) in arms.items():
+            bandit.arms[action_id] = ArmState(n_selected, mean, total)
+        bandits.append(bandit)
+    fast, reference = bandits
+    try:
+        expected = _reference_select(reference, awake, t)
+    except ZeroDivisionError:
+        # epsilon 0 and a never-selected arm: both must raise
+        with pytest.raises(ZeroDivisionError):
+            fast.select(awake, t)
+        return
+    assert fast.select(awake, t) == expected
+    assert _bits(fast) == _bits(reference)
 
 
 def test_incremental_mean_matches_algorithm4():

@@ -135,7 +135,8 @@ class _ChoicesFrontier(Frontier):
     seed=st.integers(min_value=0, max_value=1000),
 )
 def test_pop_random_matches_choices_reference(operations, seed):
-    """Fenwick draw == random.choices draw: same URLs, same RNG state."""
+    """Fenwick draw == random.choices draw: same URLs, same RNG state;
+    and the awake list is the ``len``-based one after every step."""
     fast, reference = Frontier(seed=seed), _ChoicesFrontier(seed=seed)
     for kind, action, serial in operations:
         url = f"u{serial}"
@@ -157,6 +158,10 @@ def test_pop_random_matches_choices_reference(operations, seed):
             assert results[0] == results[1]
         assert len(fast) == len(reference)
         assert fast.n_awake() == len(reference.awake_actions())
+        # awake_actions reads each pool's item list, not its __len__
+        assert fast.awake_actions() == [
+            a for a, p in fast._pools.items() if len(p) > 0
+        ]
         assert fast._rng.getstate() == reference._rng.getstate()
 
 

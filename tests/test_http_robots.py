@@ -3,7 +3,7 @@
 from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.crawler import SBConfig, sb_classifier, sb_oracle
@@ -139,6 +139,85 @@ def test_allowed_equals_two_split_rule(policy, url):
     expected = _answer(lambda u: _two_split_allowed(policy, u), url)
     if expected is ValueError and not policy.allow and not policy.disallow:
         expected = True
+    assert _answer(policy.allowed, url) == expected
+
+
+#: pieces of the part after the authority: separators in every order,
+#: characters urlsplit strips or rejects, and non-ASCII
+_URL_TAIL = st.lists(
+    st.sampled_from(["/", "?", "#", ";", "=", "&", "a", "B", "x", "p", "q", "-",
+                     ".", ":", "@", "[", "]", " ", "\t", "\r", "\n", "%2F",
+                     "\u00e9", "//"]),
+    max_size=8,
+).map("".join)
+
+_URLS = st.one_of(
+    st.sampled_from(_ROBOTS_URLS),
+    # plain absolute URLs, and URLs one authority or path character
+    # away from them
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["http://", "https://"]),
+            st.one_of(
+                st.sampled_from(["s.example", "www.x.example", "a-b.c-d", "a.b"]),
+                st.sampled_from(["a[.b", "b].c", "[::1]", "A.b", "u@a.b",
+                                 "a.b:80", "a.b:", "\u00e9.b"]),
+            ),
+            st.sampled_from(["", "/", "?", "#"]),
+            st.one_of(
+                st.text(alphabet=" !$&'()*+,-./09:=?@AZ[]_az{|}~#", max_size=12),
+                st.text(alphabet=" !$&'()*+,-./09:;=?@AZ[]_az{|}~#\u00e9\t",
+                        max_size=12),
+            ),
+        ),
+    ),
+    st.builds(
+        lambda lead, scheme, userinfo, host, port, tail:
+            f"{lead}{scheme}{userinfo}{host}{port}{tail}",
+        st.sampled_from(["", "", " ", "  ", "\t"]),
+        st.sampled_from(["http://", "https://", "HTTP://", "Https://",
+                         "ftp://", "http:", "http:/", "//", ""]),
+        st.sampled_from(["", "", "user@", "u:p@", "a.b@"]),
+        st.sampled_from(["s.example", "www.x.example", "a-b.c-d", "S.Example",
+                         "localhost", "a.b", "[::1]", "a[.b", "b].c", "a.b]",
+                         "\u00e9.example", "xn--e.example", "a..b", ""]),
+        st.sampled_from(["", "", ":80", ":8080", ":", ":x"]),
+        _URL_TAIL,
+    ),
+    st.text(
+        alphabet="htps:/.abcAC=-[]@?#;\t\n \u00e9",
+        max_size=30,
+    ).map(lambda rest: "http://" + rest),
+)
+
+_RULES = st.lists(
+    st.one_of(
+        st.sampled_from(["/", "/p", "/x/", "/search?", "/a?b", "/?", "/#",
+                         "/;", "/\u00e9", ":80", "@"]),
+        st.text(alphabet="/?#;=apqx-:\u00e9", max_size=5),
+    ),
+    max_size=3,
+)
+
+
+@given(
+    st.builds(lambda allow, disallow: RobotsPolicy(disallow=disallow, allow=allow),
+              _RULES, _RULES),
+    _URLS,
+)
+@example(RobotsPolicy(disallow=["/"]), "http://=A=a[.C@c-c/-B")
+@settings(max_examples=1000)
+def test_allowed_equals_urlsplit_rule(policy, url):
+    """Plain absolute URLs are cut without ``urlsplit``; every URL,
+    however hostile, under random rules, gets the answer (or the
+    ``ValueError``) of the rule that split them all.  The example is a
+    URL an authority pattern that did not anchor the path at its first
+    ``/`` took for plain, where ``urlsplit`` raises ``Invalid IPv6 URL``."""
+    if not policy.allow and not policy.disallow:
+        expected = True
+    else:
+        expected = _answer(lambda u: _two_split_allowed(policy, u), url)
     assert _answer(policy.allowed, url) == expected
 
 
