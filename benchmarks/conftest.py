@@ -1,8 +1,11 @@
 """Shared benchmark fixtures.
 
 All table/figure benchmarks share one ResultCache at ``BENCH_SCALE`` so
-crawl runs are computed once per session (the paper's local-replication
-methodology).  Rendered tables are written to ``bench_results/`` so the
+each crawl (one ``CrawlSpec``) runs once per session (the paper's
+local-replication methodology).  The crawls run on the serial backend,
+each site's in a fresh environment of the worker's; the cache's own
+environments serve graph statistics, and the crawls a test makes on them
+directly.  Rendered tables are written to ``bench_results/`` so the
 regenerated paper artefacts survive the run.
 """
 

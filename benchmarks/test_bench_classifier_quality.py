@@ -21,11 +21,9 @@ def test_bench_classifier_quality(benchmark, bench_cache, bench_config,
             rows.append(
                 {
                     "site": site,
-                    "prequential": result.info[
-                        "classifier_prequential_accuracy"
-                    ],
-                    "recent": result.info["classifier_recent_accuracy"],
-                    "mr": result.info["confusion"].misclassification_rate(),
+                    "prequential": result.classifier_prequential_accuracy,
+                    "recent": result.classifier_recent_accuracy,
+                    "mr": result.confusion.misclassification_rate(),
                 }
             )
         return rows

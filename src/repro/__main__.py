@@ -7,6 +7,8 @@ Usage::
     python -m repro all --scale 0.2
     python -m repro campaign --sites be,cl,qa --backend both --scale 0.1
 
+The tables' crawls run on a multiprocessing pool with one worker per
+usable CPU (serially on one CPU); the output is the same either way.
 ``campaign`` runs the sharded campaign engine (docs/campaign.md) with
 its own argument set below.
 """
@@ -14,6 +16,7 @@ its own argument set below.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -200,15 +203,21 @@ def _compare(config: ExperimentConfig, cache: ResultCache):
     from repro.experiments.runner import CRAWLER_ORDER
 
     sites = sorted(PAPER_SITES)
+    specs = {
+        (crawler, site): cache.spec(site, crawler, config.seeds[0])
+        for crawler in CRAWLER_ORDER
+        for site in sites
+    }
+    outcomes = cache.run_all(specs.values())
     metrics: dict[str, list[float]] = {}
     for crawler in CRAWLER_ORDER:
         values = []
         for site in sites:
             env = cache.env(site)
-            result = cache.run(site, crawler, seed=config.seeds[0])
             values.append(
                 requests_to_fraction(
-                    result.trace, env.total_targets(), env.n_available()
+                    outcomes[specs[crawler, site]].trace,
+                    env.total_targets(), env.n_available(),
                 )
             )
         metrics[crawler] = values
@@ -228,6 +237,15 @@ def _compare(config: ExperimentConfig, cache: ResultCache):
             return "\n".join(lines)
 
     return _Report()
+
+
+def _table_backend():
+    """The tables' worker pool: one process per usable CPU, or serial
+    on a single CPU (the outputs are the same either way)."""
+    from repro.campaign import MultiprocessingBackend, SerialBackend
+
+    n_cpus = len(os.sched_getaffinity(0))
+    return MultiprocessingBackend(n_cpus) if n_cpus > 1 else SerialBackend()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -267,7 +285,9 @@ def main(argv: list[str] | None = None) -> int:
     config = ExperimentConfig(
         scale=args.scale, seeds=tuple(range(1, args.runs + 1)),
     )
-    cache = ResultCache(scale=args.scale, trace_dir=args.trace_dir)
+    cache = ResultCache(
+        scale=args.scale, trace_dir=args.trace_dir, backend=_table_backend()
+    )
     if args.experiment == "compare":
         names = ["compare"]
         runners = {"compare": _compare}

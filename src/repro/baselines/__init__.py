@@ -12,7 +12,8 @@
   three "unfair advantages".
 
 :func:`make_crawler` builds any of them, or the SB crawler, by its
-table name (``CRAWLER_NAMES``).
+table name (``CRAWLER_NAMES``); ``SEEDLESS_CRAWLERS`` names those
+that take no seed.
 """
 
 from repro.baselines.simple import BFSCrawler, DFSCrawler, RandomCrawler
@@ -20,7 +21,11 @@ from repro.baselines.omniscient import OmniscientCrawler
 from repro.baselines.focused import FocusedCrawler
 from repro.baselines.tpoff import TPOffCrawler
 from repro.baselines.tres import TresCrawler
-from repro.baselines.registry import CRAWLER_NAMES, make_crawler
+from repro.baselines.registry import (
+    CRAWLER_NAMES,
+    SEEDLESS_CRAWLERS,
+    make_crawler,
+)
 
 __all__ = [
     "BFSCrawler",
@@ -31,5 +36,6 @@ __all__ = [
     "TPOffCrawler",
     "TresCrawler",
     "CRAWLER_NAMES",
+    "SEEDLESS_CRAWLERS",
     "make_crawler",
 ]

@@ -31,16 +31,29 @@ CRAWLER_NAMES: tuple[str, ...] = (
     "TRES",
 )
 
+#: The crawlers :func:`make_crawler` builds without a seed: every seed
+#: gives the same crawl, so a seed sweep runs each of them once.
+SEEDLESS_CRAWLERS: tuple[str, ...] = ("BFS", "DFS", "OMNISCIENT")
+
+
+def crawler_sb_config(name: str, seed: int,
+                      sb_config: SBConfig | None = None) -> SBConfig | None:
+    """The SB hyper-parameters :func:`make_crawler` builds ``name``
+    with: ``sb_config`` (default ``SBConfig()``) with its seed and
+    oracle flag overridden, or None for a crawler that takes none."""
+    if name not in ("SB-ORACLE", "SB-CLASSIFIER"):
+        return None
+    return replace(sb_config or SBConfig(),
+                   use_oracle=name == "SB-ORACLE", seed=seed)
+
 
 def make_crawler(name: str, seed: int = 1,
                  sb_config: SBConfig | None = None) -> Crawler:
     """Instantiate a crawler by its table name; ``sb_config`` carries
-    the SB hyper-parameters (its seed and oracle flag are overridden)."""
-    base = sb_config or SBConfig()
-    if name == "SB-ORACLE":
-        return SBCrawler(replace(base, use_oracle=True, seed=seed))
-    if name == "SB-CLASSIFIER":
-        return SBCrawler(replace(base, use_oracle=False, seed=seed))
+    the SB hyper-parameters (see :func:`crawler_sb_config`)."""
+    config = crawler_sb_config(name, seed, sb_config)
+    if config is not None:
+        return SBCrawler(config)
     if name == "FOCUSED":
         return FocusedCrawler(seed=seed)
     if name == "TP-OFF":

@@ -38,6 +38,7 @@ from repro.campaign.scheduler import (
     schedule_campaign,
 )
 from repro.campaign.workers import (
+    CrawlSpec,
     MultiprocessingBackend,
     SerialBackend,
     ShardOutcome,
@@ -47,6 +48,7 @@ from repro.campaign.workers import (
     run_shard,
     site_seed,
     trace_digest,
+    trace_name,
 )
 
 __all__ = [
@@ -59,6 +61,7 @@ __all__ = [
     "Partition",
     "partition_sites",
     # workers
+    "CrawlSpec",
     "ShardTask",
     "SiteOutcome",
     "ShardOutcome",
@@ -68,6 +71,7 @@ __all__ = [
     "run_shard",
     "site_seed",
     "trace_digest",
+    "trace_name",
     # merge
     "CampaignRunReport",
     "assign_virtual_times",

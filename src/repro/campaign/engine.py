@@ -31,7 +31,13 @@ from dataclasses import dataclass
 
 from repro.campaign.merge import CampaignRunReport, merge_outcomes
 from repro.campaign.partitions import Partition, partition_sites
-from repro.campaign.workers import SerialBackend, ShardTask, WorkerPool
+from repro.campaign.workers import (
+    CrawlSpec,
+    SerialBackend,
+    ShardTask,
+    WorkerPool,
+    site_seed,
+)
 from repro.obs.events import CampaignMerged, ShardFinished, ShardStarted
 from repro.obs.observer import Observer
 from repro.utils.rng import derive_rng
@@ -89,16 +95,17 @@ def shard_tasks(
     checkpoint_every: int = 0,
     resume: bool = False,
 ) -> list[ShardTask]:
-    """One picklable work order per shard, in dispatch order."""
+    """One picklable work order per shard, in dispatch order: a spec
+    per site, in site order, crawled with the site's derived seed."""
     by_id = {p.shard_id: p for p in partitions}
     return [
         ShardTask(
             shard_id=shard_id,
-            sites=by_id[shard_id].sites,
-            crawler=spec.crawler,
-            seed=spec.seed,
-            scale=spec.scale,
-            budget=spec.budget,
+            specs=tuple(
+                CrawlSpec(site, spec.crawler, site_seed(spec.seed, site),
+                          spec.scale, spec.budget)
+                for site in sorted(by_id[shard_id].sites)
+            ),
             trace_dir=spec.trace_dir,
             checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every,

@@ -1,28 +1,29 @@
-"""The worker pool: shard tasks, shard outcomes, and the two backends.
+"""The worker pool: crawl specs, shard tasks, outcomes, the backends.
 
-A :class:`ShardTask` is everything one worker needs to crawl its shard
-— site names, crawler, seed, scale, budget — and a
-:class:`ShardOutcome` is everything the merge step needs back:
-per-site summaries with ledgers and trace digests, plus the shard's
-folded metrics registry.  Both are plain picklable dataclasses, so the
-same :func:`run_shard` function serves both backends:
+A :class:`CrawlSpec` names one crawl by value — site, crawler, seed,
+scale, budget and SB hyper-parameters.  A :class:`ShardTask` is a
+tuple of specs plus where to trace and checkpoint them, and a
+:class:`ShardOutcome` is everything the caller needs back: one
+:class:`SiteOutcome` per spec (counts, ledger, trace digest, and the
+trace and crawler statistics the paper tables read), plus the shard's
+folded metrics registry.  All are plain picklable dataclasses, so the
+same :func:`run_shard` function serves both backends and both callers,
+the campaign engine and the tables' ``ResultCache``:
 
 * :class:`SerialBackend` — the deterministic reference.  Executes
-  tasks one at a time in the engine's seeded dispatch order (the
-  virtual-politeness-clock interleaving computed in
-  ``repro.campaign.engine``), in-process;
-* :class:`MultiprocessingBackend` — the opt-in real pool.  ``spawn``
+  tasks one at a time in the given dispatch order, in-process;
+* :class:`MultiprocessingBackend` — the real pool.  ``spawn``
   context (fork-safety is not assumed anywhere in the tree), workers
   ignore SIGINT so Ctrl-C lands only in the parent, and an interrupt
   terminates the pool gracefully: already-collected shards survive,
   uncollected ones come back as ``"interrupted"`` placeholders, and no
   child outlives the call.
 
-Because every crawl is a pure function of ``(site, crawler, seed,
-scale, budget)`` — checked at runtime by the serial-vs-multiprocessing
-digest gate over every crawler (``tests/test_campaign_engine.py``) —
-both backends produce identical outcome sets, which is what makes the
-merged campaign report byte-identical across backends.
+Because every crawl is a pure function of its spec — checked at
+runtime by the serial-vs-multiprocessing digest gate over every
+crawler (``tests/test_campaign_engine.py``) — both backends produce
+identical outcome sets, which is what makes the merged campaign report
+and the rendered tables byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -30,16 +31,71 @@ from __future__ import annotations
 import hashlib
 import json
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Protocol
 
 from repro.analysis.trace import CrawlTrace
 from repro.baselines import make_crawler
+from repro.baselines.registry import crawler_sb_config
 from repro.campaign.scheduler import SiteWorkload
 from repro.checkpoint.controller import CrawlInterrupted
+from repro.core.crawler import SBConfig
 from repro.http.ledger import CostLedger
+from repro.ml.metrics import ConfusionMatrix
 from repro.obs.metrics import MetricsObserver, MetricsRegistry
 from repro.utils.rng import derive_seed
+
+
+@dataclass(frozen=True)
+class CrawlSpec:
+    """One crawl, by value — hashable, picklable, spawn-safe.
+
+    ``sb_config`` is normalised on construction exactly as
+    :func:`make_crawler` applies it (``crawler_sb_config``): an SB
+    crawler's config carries the spec's seed and the crawler's oracle
+    flag, every other crawler's is None.  Two specs are therefore equal
+    exactly when they build the same crawler for the same site, which
+    makes the spec the tables' memo key; :func:`trace_name` makes it
+    the name of the crawl's trace.
+    """
+
+    site: str
+    crawler: str
+    seed: int = 1
+    scale: float = 0.5
+    budget: float | None = None
+    sb_config: SBConfig | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "sb_config",
+            crawler_sb_config(self.crawler, self.seed, self.sb_config),
+        )
+
+    def config_changes(self) -> dict[str, object]:
+        """The SB hyper-parameters that differ from ``SBConfig()``
+        (seed and oracle flag aside: the spec's seed and crawler name
+        them), in field order."""
+        if self.sb_config is None:
+            return {}
+        default = SBConfig()
+        return {
+            f.name: getattr(self.sb_config, f.name)
+            for f in fields(SBConfig)
+            if f.name not in ("seed", "use_oracle", "observer")
+            and getattr(self.sb_config, f.name) != getattr(default, f.name)
+        }
+
+
+def trace_name(spec: CrawlSpec) -> str:
+    """The file name of a spec's JSONL trace:
+    ``<site>-<crawler>-s<seed>.jsonl``, with the non-default SB
+    hyper-parameters appended as ``-name=value,...`` when there are any."""
+    name = f"{spec.site}-{spec.crawler}-s{spec.seed}"
+    changes = spec.config_changes()
+    if changes:
+        name += "-" + ",".join(f"{k}={v}" for k, v in changes.items())
+    return name + ".jsonl"
 
 
 @dataclass(frozen=True)
@@ -47,12 +103,9 @@ class ShardTask:
     """One shard's work order — picklable, spawn-safe."""
 
     shard_id: int
-    sites: tuple[str, ...]
-    crawler: str = "SB-CLASSIFIER"
-    seed: int = 1
-    scale: float = 0.5
-    budget: float | None = None
-    #: directory for per-site JSONL event traces (None = no tracing)
+    #: the crawls, run in this order
+    specs: tuple[CrawlSpec, ...]
+    #: directory for per-crawl JSONL event traces (None = no tracing)
     trace_dir: str | None = None
     #: campaign checkpoint directory (None = checkpointing off)
     checkpoint_dir: str | None = None
@@ -65,7 +118,8 @@ class ShardTask:
 
 @dataclass(frozen=True)
 class SiteOutcome:
-    """One site's crawl, reduced to what merging needs — picklable."""
+    """One crawl, reduced to what merging and the tables need —
+    picklable.  It never carries the live bandit or action space."""
 
     site: str
     crawler: str
@@ -80,6 +134,26 @@ class SiteOutcome:
     #: behind the campaign report's digest
     trace_digest: str
     ledger: CostLedger
+    # What the paper tables read.  ``trace_digest`` witnesses these for
+    # equality, and a campaign checkpoint keeps only the fields above,
+    # so an outcome restored from one carries the defaults.  The SB
+    # statistics are None for every other crawler.
+    trace: CrawlTrace | None = field(default=None, compare=False, repr=False)
+    targets: frozenset[str] = field(
+        default=frozenset(), compare=False, repr=False
+    )
+    confusion: ConfusionMatrix | None = field(
+        default=None, compare=False, repr=False
+    )
+    reward_mean_nonzero: float | None = field(default=None, compare=False)
+    reward_std_nonzero: float | None = field(default=None, compare=False)
+    top10_rewards: tuple[float, ...] = field(default=(), compare=False)
+    classifier_prequential_accuracy: float | None = field(
+        default=None, compare=False
+    )
+    classifier_recent_accuracy: float | None = field(
+        default=None, compare=False
+    )
 
     @property
     def workload(self) -> SiteWorkload:
@@ -123,27 +197,24 @@ def site_seed(campaign_seed: int, site: str) -> int:
     return derive_seed(campaign_seed, "campaign", site)
 
 
-def _crawl_site(task: ShardTask, site: str, seed: int,
+def _crawl_site(task: ShardTask, spec: CrawlSpec, env,
                 observer: MetricsObserver, checkpointer=None):
-    """One site's crawl, with opt-in JSONL tracing and checkpointing."""
+    """The one crawl-run function: ``spec``'s crawler on ``env``, with
+    opt-in JSONL tracing (to ``trace_name(spec)``) and checkpointing."""
     from pathlib import Path
 
-    from repro.http.environment import CrawlEnvironment
     from repro.obs.observer import MultiObserver
     from repro.obs.sinks import JsonlSink, truncate_events
-    from repro.webgraph.sites import load_paper_site
 
-    crawler = make_crawler(task.crawler, seed)
+    crawler = make_crawler(spec.crawler, spec.seed, spec.sb_config)
 
     if task.trace_dir is None:
-        env = CrawlEnvironment(
-            load_paper_site(site, scale=task.scale), observer=observer
-        )
-        return crawler.crawl(env, budget=task.budget, checkpoint=checkpointer)
+        env.observer = observer
+        return crawler.crawl(env, budget=spec.budget, checkpoint=checkpointer)
 
     directory = Path(task.trace_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    trace_path = directory / f"{site}-{task.crawler}-s{task.seed}.jsonl"
+    trace_path = directory / trace_name(spec)
     resume_sink = None
     if checkpointer is not None and checkpointer.resume_payload is not None:
         resume_sink = checkpointer.resume_payload.get("extras", {}).get("sink")
@@ -154,28 +225,27 @@ def _crawl_site(task: ShardTask, site: str, seed: int,
         truncate_events(trace_path, resume_sink["n_events"])
         sink = JsonlSink(trace_path, append=True)
     else:
-        sink = JsonlSink(
-            trace_path,
-            meta={"crawler": task.crawler, "site": site,
-                  "seed": task.seed, "scale": task.scale,
-                  "shard": task.shard_id},
-        )
+        meta = {"crawler": spec.crawler, "site": spec.site,
+                "seed": spec.seed, "scale": spec.scale,
+                "budget": spec.budget}
+        changes = spec.config_changes()
+        if changes:
+            meta["config"] = changes
+        sink = JsonlSink(trace_path, meta=meta)
     with sink:
         if checkpointer is not None:
             checkpointer.extras["sink"] = sink
-        env = CrawlEnvironment(
-            load_paper_site(site, scale=task.scale),
-            observer=MultiObserver([observer, sink]),
-        )
-        return crawler.crawl(env, budget=task.budget, checkpoint=checkpointer)
+        env.observer = MultiObserver([observer, sink])
+        return crawler.crawl(env, budget=spec.budget, checkpoint=checkpointer)
 
 
-def _site_outcome(task: ShardTask, site: str, seed: int, result) -> SiteOutcome:
-    """Reduce one crawl result to its picklable site outcome."""
+def _site_outcome(spec: CrawlSpec, result) -> SiteOutcome:
+    """Reduce one crawl result to its picklable outcome."""
+    info = result.info
     return SiteOutcome(
-        site=site,
-        crawler=task.crawler,
-        seed=seed,
+        site=spec.site,
+        crawler=spec.crawler,
+        seed=spec.seed,
         n_requests=result.n_requests,
         n_targets=result.n_targets,
         total_bytes=result.trace.total_bytes,
@@ -183,30 +253,47 @@ def _site_outcome(task: ShardTask, site: str, seed: int, result) -> SiteOutcome:
         stopped_early=result.stopped_early,
         n_dead_letters=result.n_dead_letters,
         trace_digest=trace_digest(result.trace),
-        ledger=result.info["ledger"],
+        ledger=info["ledger"],
+        trace=result.trace,
+        targets=frozenset(result.targets),
+        confusion=info.get("confusion"),
+        reward_mean_nonzero=info.get("reward_mean_nonzero"),
+        reward_std_nonzero=info.get("reward_std_nonzero"),
+        top10_rewards=tuple(info.get("top10_rewards", ())),
+        classifier_prequential_accuracy=info.get(
+            "classifier_prequential_accuracy"
+        ),
+        classifier_recent_accuracy=info.get("classifier_recent_accuracy"),
     )
 
 
 def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
-    """Crawl every site of one shard; the single worker entry point.
+    """Run every crawl of one shard, in order; the single worker entry
+    point.
 
     Runs identically in-process (serial backend) and in a spawned
     worker (multiprocessing backend): all inputs arrive in ``task``,
     all outputs leave in the returned :class:`ShardOutcome`, and every
-    random draw derives from ``(task.seed, site)`` — nothing depends on
-    which process, or in what order, shards execute.
+    crawl is a function of its spec alone — nothing depends on which
+    process, or in what order, shards execute.  Consecutive specs on
+    the same site and scale share one environment (its render and
+    parse caches are pure).
 
     With ``task.checkpoint_dir`` set the shard becomes durable: shard
-    progress is persisted after every completed site, the in-flight
-    site snapshots itself every ``task.checkpoint_every`` steps (and on
-    ``shutdown``), and ``task.resume`` continues a partially-completed
-    shard so the final outcome — and the merged report digest — is
-    byte-identical to an uninterrupted run.
+    progress is persisted after every completed crawl, the in-flight
+    crawl snapshots itself every ``task.checkpoint_every`` steps (and
+    on ``shutdown``), and ``task.resume`` continues a
+    partially-completed shard so the final outcome — and the merged
+    report digest — is byte-identical to an uninterrupted run.
+    Checkpoints are stored per site, so a checkpointed task holds at
+    most one spec per site.
     """
+    from repro.http.environment import CrawlEnvironment
+    from repro.webgraph.sites import load_paper_site
+
     outcome = ShardOutcome(shard_id=task.shard_id)
     progress_store = None
     completed: list = []
-    done_sites: set[str] = set()
     if task.checkpoint_dir is not None:
         from repro.campaign.checkpoint import (
             SHARD_PROGRESS_KIND,
@@ -222,7 +309,6 @@ def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
                 for site_outcome, registry in completed:
                     outcome.sites.append(site_outcome)
                     outcome.metrics.merge(registry)
-                    done_sites.add(site_outcome.site)
 
     def _write_progress() -> None:
         from repro.campaign.checkpoint import shard_progress_payload
@@ -233,15 +319,15 @@ def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
         )
         progress_store.prune_old(keep=2)
 
-    for site in sorted(task.sites):
-        if site in done_sites:
-            continue
+    env, env_key = None, None
+    # Progress lists finished crawls in task order, so a resumed shard
+    # continues after them.
+    for spec in task.specs[len(completed):]:
         if shutdown is not None and shutdown.is_set():
             outcome.status = "interrupted"
             if progress_store is not None:
                 _write_progress()
             return outcome
-        seed = site_seed(task.seed, site)
         observer = MetricsObserver()
         checkpointer = None
         if task.checkpoint_dir is not None:
@@ -249,7 +335,7 @@ def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
             from repro.checkpoint.controller import CrawlCheckpointer
 
             checkpointer = CrawlCheckpointer(
-                site_store(task.checkpoint_dir, task.shard_id, site),
+                site_store(task.checkpoint_dir, task.shard_id, spec.site),
                 every=task.checkpoint_every,
                 flag=shutdown,
             )
@@ -261,17 +347,20 @@ def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
                     observer.restore_state(
                         loaded_site.payload["extras"]["observer"]
                     )
+        if (spec.site, spec.scale) != env_key:
+            env = CrawlEnvironment(load_paper_site(spec.site, scale=spec.scale))
+            env_key = (spec.site, spec.scale)
         try:
-            result = _crawl_site(task, site, seed, observer, checkpointer)
+            result = _crawl_site(task, spec, env, observer, checkpointer)
         except CrawlInterrupted:
             # The crawler already saved its final mid-site checkpoint;
-            # persist the shard's completed-site progress and hand back
+            # persist the shard's completed-crawl progress and hand back
             # the graceful-shutdown placeholder.
             outcome.status = "interrupted"
             if progress_store is not None:
                 _write_progress()
             return outcome
-        outcome.sites.append(_site_outcome(task, site, seed, result))
+        outcome.sites.append(_site_outcome(spec, result))
         outcome.metrics.merge(observer.registry)
         completed.append((outcome.sites[-1], observer.registry))
         if progress_store is not None:

@@ -104,13 +104,19 @@ def compute_figure4(
 ) -> Figure4Result:
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
+    specs = {
+        (site, crawler): cache.spec(site, crawler, config.seeds[0])
+        for site in sites
+        for crawler in crawlers
+    }
+    outcomes = cache.run_all(specs.values())
     out: list[Figure4Site] = []
     for site in sites:
         entry = Figure4Site(site=site)
         for crawler in crawlers:
-            result = cache.run(site, crawler, seed=config.seeds[0])
-            requests, targets = targets_vs_requests_curve(result.trace)
-            non_target, target = volume_curve(result.trace)
+            trace = outcomes[specs[site, crawler]].trace
+            requests, targets = targets_vs_requests_curve(trace)
+            non_target, target = volume_curve(trace)
             req_x, tgt_y = _downsample(requests, targets)
             ntv_x, tv_y = _downsample(non_target, target)
             entry.curves.append(
@@ -169,10 +175,10 @@ def compute_figure5(
 ) -> Figure5Result:
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
-    top: dict[str, list[float]] = {}
-    for site in sites:
-        result = cache.run(site, "SB-CLASSIFIER", seed=config.seeds[0])
-        top[site] = list(result.info["top10_rewards"])
+    outcomes = cache.run_all(
+        cache.spec(site, "SB-CLASSIFIER", config.seeds[0]) for site in sites
+    ).values()
+    top = {o.site: list(o.top10_rewards) for o in outcomes}
     return Figure5Result(sites=list(sites), top_rewards=top)
 
 
@@ -215,13 +221,11 @@ def compute_figure15(
     cache = cache or default_cache(config.scale)
     env = cache.env(site)
     es_config = SBConfig(
-        seed=config.seeds[0],
         early_stopping=True,
         **scaled_early_stopping(env.n_available()),
     )
     result = cache.run(
-        site, "SB-CLASSIFIER", seed=es_config.seed,
-        sb_config=es_config, config_key="early-stopping",
+        site, "SB-CLASSIFIER", seed=config.seeds[0], sb_config=es_config
     )
     requests, targets = targets_vs_requests_curve(result.trace)
     req_x, tgt_y = _downsample(requests, targets)

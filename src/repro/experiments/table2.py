@@ -57,29 +57,40 @@ def compute_table2(
     saved_requests: list[float] = []
     lost_targets: list[float] = []
 
+    seed = config.seeds[0]
+    specs = {
+        (site, crawler): cache.seed_specs(site, crawler, config.seeds)
+        for site in sites
+        for crawler in CRAWLER_ORDER
+    }
+    # Early stopping: SB-CLASSIFIER with the monitor vs without.
+    base_specs = {site: cache.spec(site, "SB-CLASSIFIER", seed) for site in sites}
+    es_specs = {
+        site: cache.spec(site, "SB-CLASSIFIER", seed, sb_config=SBConfig(
+            early_stopping=True,
+            **scaled_early_stopping(cache.env(site).n_available()),
+        ))
+        for site in sites
+    }
+    outcomes = cache.run_all([
+        *(s for group in specs.values() for s in group),
+        *base_specs.values(),
+        *es_specs.values(),
+    ])
+
     for site in sites:
         env = cache.env(site)
         total = env.total_targets()
         avail = env.n_available()
         for crawler in CRAWLER_ORDER:
-            results = cache.run_seeds(site, crawler, config.seeds)
             value = average_metric(
-                results,
-                lambda r: requests_to_fraction(r.trace, total, avail),
+                [outcomes[s] for s in specs[site, crawler]],
+                lambda o: requests_to_fraction(o.trace, total, avail),
             )
             measured[crawler].append(value)
 
-        # Early stopping: SB-CLASSIFIER with the monitor vs without.
-        base_run = cache.run(site, "SB-CLASSIFIER", seed=config.seeds[0])
-        es_config = SBConfig(
-            seed=config.seeds[0],
-            early_stopping=True,
-            **scaled_early_stopping(avail),
-        )
-        es_run = cache.run(
-            site, "SB-CLASSIFIER", seed=config.seeds[0],
-            sb_config=es_config, config_key="early-stopping",
-        )
+        base_run = outcomes[base_specs[site]]
+        es_run = outcomes[es_specs[site]]
         if base_run.n_requests > 0:
             saved = 100.0 * max(
                 0, base_run.n_requests - es_run.n_requests

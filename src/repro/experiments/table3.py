@@ -48,16 +48,22 @@ def compute_table3(
     sites = list(config.sites or cache.sites())
     measured: dict[str, list[float]] = {name: [] for name in CRAWLER_ORDER}
 
+    specs = {
+        (site, crawler): cache.seed_specs(site, crawler, config.seeds)
+        for site in sites
+        for crawler in CRAWLER_ORDER
+    }
+    outcomes = cache.run_all(s for group in specs.values() for s in group)
+
     for site in sites:
         env = cache.env(site)
         total_target_bytes = env.total_target_bytes()
         total_non_target = site_non_target_bytes(env.graph)
         for crawler in CRAWLER_ORDER:
-            results = cache.run_seeds(site, crawler, config.seeds)
             value = average_metric(
-                results,
-                lambda r: non_target_volume_fraction(
-                    r.trace, total_target_bytes, total_non_target
+                [outcomes[s] for s in specs[site, crawler]],
+                lambda o: non_target_volume_fraction(
+                    o.trace, total_target_bytes, total_non_target
                 ),
             )
             measured[crawler].append(value)

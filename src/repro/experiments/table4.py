@@ -15,10 +15,12 @@ from repro.analysis.metrics import (
     requests_to_fraction,
     site_non_target_bytes,
 )
+from repro.analysis.trace import CrawlTrace
 from repro.core.crawler import SBConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_pairs_table
 from repro.experiments.runner import ResultCache, default_cache
+from repro.http.environment import CrawlEnvironment
 from repro.webgraph.sites import FULLY_CRAWLED_SITES
 
 #: The studied values (paper Sec. 4.6).
@@ -46,17 +48,10 @@ class Table4Result:
         )
 
 
-def _run_config(
-    cache: ResultCache, site: str, sb_config: SBConfig, config_key: str
-) -> tuple[float, float]:
-    env = cache.env(site)
-    result = cache.run(
-        site, "SB-ORACLE", seed=sb_config.seed,
-        sb_config=sb_config, config_key=config_key,
-    )
-    req = requests_to_fraction(result.trace, env.total_targets(), env.n_available())
+def _pair(env: CrawlEnvironment, trace: CrawlTrace) -> tuple[float, float]:
+    req = requests_to_fraction(trace, env.total_targets(), env.n_available())
     vol = non_target_volume_fraction(
-        result.trace, env.total_target_bytes(), site_non_target_bytes(env.graph)
+        trace, env.total_target_bytes(), site_non_target_bytes(env.graph)
     )
     return req, vol
 
@@ -69,24 +64,26 @@ def compute_table4(
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
     site_list = list(sites or config.sites or FULLY_CRAWLED_SITES)
-    seed = config.seeds[0]
-    rows: dict[str, list[tuple[float, float]]] = {}
+    configs = {
+        **{f"alpha={label}": SBConfig(alpha=alpha)
+           for label, alpha in ALPHA_VALUES},
+        **{f"n={n}": SBConfig(ngram_n=n) for n in N_VALUES},
+        **{f"theta={theta}": SBConfig(theta=theta) for theta in THETA_VALUES},
+    }
+    specs = {
+        (label, site): cache.spec(
+            site, "SB-ORACLE", config.seeds[0], sb_config=sb_config
+        )
+        for label, sb_config in configs.items()
+        for site in site_list
+    }
+    outcomes = cache.run_all(specs.values())
 
-    for label, alpha in ALPHA_VALUES:
-        sb_config = SBConfig(alpha=alpha, seed=seed)
-        rows[f"alpha={label}"] = [
-            _run_config(cache, site, sb_config, f"alpha={label}")
+    rows = {
+        label: [
+            _pair(cache.env(site), outcomes[specs[label, site]].trace)
             for site in site_list
         ]
-    for n in N_VALUES:
-        sb_config = SBConfig(ngram_n=n, seed=seed)
-        rows[f"n={n}"] = [
-            _run_config(cache, site, sb_config, f"n={n}") for site in site_list
-        ]
-    for theta in THETA_VALUES:
-        sb_config = SBConfig(theta=theta, seed=seed)
-        rows[f"theta={theta}"] = [
-            _run_config(cache, site, sb_config, f"theta={theta}")
-            for site in site_list
-        ]
+        for label in configs
+    }
     return Table4Result(sites=site_list, rows=rows)

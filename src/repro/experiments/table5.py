@@ -73,35 +73,40 @@ def compute_table5(
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
     site_list = list(sites or config.sites or FULLY_CRAWLED_SITES)
-    seed = config.seeds[0]
+    variants = {
+        f"{feature_set}-{model}": SBConfig(
+            classifier_model=model, feature_set=feature_set
+        )
+        for feature_set in FEATURE_SETS
+        for model in MODELS
+    }
+    specs = {
+        (variant, site): cache.spec(
+            site, "SB-CLASSIFIER", config.seeds[0], sb_config=sb_config
+        )
+        for variant, sb_config in variants.items()
+        for site in site_list
+    }
+    outcomes = cache.run_all(specs.values())
 
     measured: dict[str, list[float]] = {}
     mr: dict[str, float] = {}
     confusions: dict[str, ConfusionMatrix] = {}
-
-    for feature_set in FEATURE_SETS:
-        for model in MODELS:
-            variant = f"{feature_set}-{model}"
-            sb_config = SBConfig(
-                classifier_model=model, feature_set=feature_set, seed=seed
+    for variant in variants:
+        per_site: list[float] = []
+        merged = ConfusionMatrix()
+        for site in site_list:
+            env = cache.env(site)
+            outcome = outcomes[specs[variant, site]]
+            per_site.append(
+                requests_to_fraction(
+                    outcome.trace, env.total_targets(), env.n_available()
+                )
             )
-            per_site: list[float] = []
-            merged = ConfusionMatrix()
-            for site in site_list:
-                env = cache.env(site)
-                result = cache.run(
-                    site, "SB-CLASSIFIER", seed=seed,
-                    sb_config=sb_config, config_key=variant,
-                )
-                per_site.append(
-                    requests_to_fraction(
-                        result.trace, env.total_targets(), env.n_available()
-                    )
-                )
-                merged = merged.merged(result.info["confusion"])
-            measured[variant] = per_site
-            mr[variant] = merged.misclassification_rate()
-            confusions[variant] = merged
+            merged = merged.merged(outcome.confusion)
+        measured[variant] = per_site
+        mr[variant] = merged.misclassification_rate()
+        confusions[variant] = merged
     return Table5Result(
         sites=site_list, measured=measured, mr=mr, confusions=confusions
     )

@@ -47,10 +47,11 @@ def compute_table6(
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
     sites = list(config.sites or cache.sites())
-    means: list[float] = []
-    stds: list[float] = []
-    for site in sites:
-        result = cache.run(site, "SB-CLASSIFIER", seed=config.seeds[0])
-        means.append(result.info["reward_mean_nonzero"])
-        stds.append(result.info["reward_std_nonzero"])
-    return Table6Result(sites=sites, means=means, stds=stds)
+    outcomes = cache.run_all(
+        cache.spec(site, "SB-CLASSIFIER", config.seeds[0]) for site in sites
+    ).values()
+    return Table6Result(
+        sites=sites,
+        means=[o.reward_mean_nonzero for o in outcomes],
+        stds=[o.reward_std_nonzero for o in outcomes],
+    )

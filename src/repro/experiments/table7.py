@@ -54,12 +54,16 @@ def compute_table7(
 ) -> Table7Result:
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
+    specs = {
+        site: cache.spec(site, "SB-CLASSIFIER", config.seeds[0])
+        for site in sites
+    }
+    outcomes = cache.run_all(specs.values())
     yields_pct: list[float] = []
     mean_sds: list[float] = []
     for site in sites:
         env = cache.env(site)
-        result = cache.run(site, "SB-CLASSIFIER", seed=config.seeds[0])
-        retrieved = sorted(result.targets)
+        retrieved = sorted(outcomes[specs[site]].targets)
         rng = random.Random(42)
         sample = (
             # The paper's Table 7 audits a *fixed* 50-URL sample per

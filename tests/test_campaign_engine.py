@@ -16,6 +16,7 @@ import pytest
 
 from repro.campaign import (
     CampaignSpec,
+    CrawlSpec,
     MultiprocessingBackend,
     Partition,
     SerialBackend,
@@ -29,6 +30,7 @@ from repro.campaign import (
     shard_tasks,
     site_seed,
     site_weights,
+    trace_name,
 )
 from repro.baselines import CRAWLER_NAMES
 from repro.obs import MemorySink
@@ -122,7 +124,9 @@ def test_spec_validation():
 
 
 def test_shard_task_pickles():
-    task = ShardTask(shard_id=1, sites=("be", "cl"), **TINY)
+    task = ShardTask(
+        shard_id=1, specs=(CrawlSpec("be", **TINY), CrawlSpec("cl", **TINY))
+    )
     assert pickle.loads(pickle.dumps(task)) == task
 
 
@@ -361,8 +365,8 @@ def test_multiprocessing_interrupt_shuts_down_gracefully():
 
 
 def test_run_shard_traces_and_ledger(tmp_path):
-    task = ShardTask(shard_id=0, sites=("qa",), trace_dir=str(tmp_path),
-                     **TINY)
+    spec = CrawlSpec("qa", **TINY)
+    task = ShardTask(shard_id=0, specs=(spec,), trace_dir=str(tmp_path))
     outcome = run_shard(task)
     assert outcome.status == "completed"
     [site] = outcome.sites
@@ -370,7 +374,8 @@ def test_run_shard_traces_and_ledger(tmp_path):
     assert site.n_requests > 0
     assert site.ledger.n_requests == site.n_requests
     assert len(site.trace_digest) == 64
-    trace_file = tmp_path / f"qa-BFS-s{TINY['seed']}.jsonl"
+    trace_file = tmp_path / trace_name(spec)
+    assert trace_file.name == f"qa-BFS-s{TINY['seed']}.jsonl"
     assert trace_file.exists()
     # The shard's metrics registry folded the fetch stream.
     assert outcome.metrics.get("requests_total").value == site.n_requests
@@ -384,7 +389,8 @@ def test_campaign_creates_a_missing_trace_dir(tmp_path):
                         budget=50, trace_dir=str(trace_dir))
     report = run_campaign(spec)
     assert not report.partial
-    assert (trace_dir / f"qa-BFS-s{spec.seed}.jsonl").is_file()
+    # named by the crawl's own seed, so the file's meta reproduces it
+    assert (trace_dir / f"qa-BFS-s{site_seed(spec.seed, 'qa')}.jsonl").is_file()
 
 
 def test_partition_dataclass_shape():

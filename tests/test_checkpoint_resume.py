@@ -13,7 +13,13 @@ import pytest
 
 from repro.baselines import CRAWLER_NAMES, TPOffCrawler, make_crawler
 from repro.campaign import CampaignSpec, SerialBackend, run_campaign
-from repro.campaign.workers import ShardTask, run_shard
+from repro.campaign.workers import (
+    CrawlSpec,
+    ShardTask,
+    run_shard,
+    site_seed,
+    trace_name,
+)
 from repro.checkpoint import (
     CheckpointError,
     CheckpointStore,
@@ -350,10 +356,16 @@ class CountdownFlag:
         self.remaining = 0
 
 
+#: the shard's two crawls, seeded as the campaign engine seeds them
+SHARD_SPECS = tuple(
+    CrawlSpec(site, "SB-CLASSIFIER", site_seed(5, site), SCALE, BUDGET)
+    for site in ("be", "cl")
+)
+
+
 def _shard_task(tmp_path, resume=False):
     return ShardTask(
-        shard_id=0, sites=("be", "cl"), crawler="SB-CLASSIFIER", seed=5,
-        scale=SCALE, budget=BUDGET, trace_dir=str(tmp_path / "traces"),
+        shard_id=0, specs=SHARD_SPECS, trace_dir=str(tmp_path / "traces"),
         checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=15,
         resume=resume,
     )
@@ -361,9 +373,7 @@ def _shard_task(tmp_path, resume=False):
 
 def test_run_shard_interrupt_resume_is_byte_identical(tmp_path):
     reference_task = ShardTask(
-        shard_id=0, sites=("be", "cl"), crawler="SB-CLASSIFIER", seed=5,
-        scale=SCALE, budget=BUDGET,
-        trace_dir=str(tmp_path / "ref-traces"),
+        shard_id=0, specs=SHARD_SPECS, trace_dir=str(tmp_path / "ref-traces"),
     )
     reference = run_shard(reference_task)
 
@@ -379,11 +389,11 @@ def test_run_shard_interrupt_resume_is_byte_identical(tmp_path):
         assert site_resumed == site_reference
     # the JSONL traces must also be byte-identical, with no duplicated
     # events from the interrupted attempt
-    for name in ("be", "cl"):
-        trace_name = f"{name}-SB-CLASSIFIER-s5.jsonl"
-        resumed_trace = (tmp_path / "traces" / trace_name).read_bytes()
-        reference_trace = (tmp_path / "ref-traces" / trace_name).read_bytes()
-        assert resumed_trace == reference_trace, f"trace drift on {name}"
+    for spec in SHARD_SPECS:
+        name = trace_name(spec)
+        resumed_trace = (tmp_path / "traces" / name).read_bytes()
+        reference_trace = (tmp_path / "ref-traces" / name).read_bytes()
+        assert resumed_trace == reference_trace, f"trace drift on {spec.site}"
 
 
 def _campaign_spec(trace_dir=None):

@@ -137,13 +137,20 @@ def test_campaign_smoke_job_enforces_backend_equivalence():
     """The campaign-smoke job must run `repro campaign --backend both`
     (which exits non-zero unless the serial and multiprocessing reports
     are byte-identical), check cross-invocation byte-stability with cmp,
-    and archive the report."""
+    cmp table 2 rendered serially (one CPU) and on the pool, and archive
+    the report."""
     doc = _load()
     steps = doc["jobs"]["campaign-smoke"]["steps"]
     commands = "\n".join(s.get("run", "") for s in steps)
     assert "python -m repro campaign" in commands
     assert "--backend both" in commands
     assert "cmp campaign-a.json campaign-b.json" in commands
+    # the tables' serial and pool runs must render the same table 2
+    serial = "taskset -c 0 python -m repro table2 --scale 0.05 --runs 2"
+    assert serial in commands
+    assert "\npython -m repro table2 --scale 0.05 --runs 2" in commands
+    assert "computed in" in commands
+    assert "cmp table2-serial.txt table2-pool.txt" in commands
     uploads = [s for s in steps
                if "upload-artifact" in str(s.get("uses", ""))]
     assert len(uploads) == 1

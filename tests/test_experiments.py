@@ -4,7 +4,15 @@ import math
 
 import pytest
 
-from repro.baselines import CRAWLER_NAMES, make_crawler
+from repro.baselines import CRAWLER_NAMES, SEEDLESS_CRAWLERS, make_crawler
+from repro.campaign import (
+    CrawlSpec,
+    MultiprocessingBackend,
+    SerialBackend,
+    trace_digest,
+    trace_name,
+)
+from repro.core.crawler import SBConfig
 from repro.experiments.config import ExperimentConfig, scaled_early_stopping
 from repro.experiments.figures import (
     compute_figure4,
@@ -24,6 +32,9 @@ from repro.experiments.table4 import compute_table4
 from repro.experiments.table5 import compute_table5
 from repro.experiments.table6 import compute_table6
 from repro.experiments.table7 import compute_table7
+from repro.http.environment import CrawlEnvironment
+from repro.obs.sinks import read_events
+from repro.webgraph.sites import load_paper_site
 
 SCALE = 0.12
 SITES = ("cl", "qa")
@@ -50,19 +61,92 @@ def test_result_cache_memoises(cache):
     assert cache.env("qa") is cache.env("qa")
 
 
-def test_run_seeds_deduplicates_deterministic(cache):
-    results = cache.run_seeds("qa", "BFS", seeds=(1, 2, 3))
-    assert len(results) == 1
-    results = cache.run_seeds("qa", "SB-CLASSIFIER", seeds=(1, 2))
-    assert len(results) == 2
+def test_seed_specs_collapse_seedless_crawlers(cache):
+    assert len(cache.seed_specs("qa", "BFS", seeds=(1, 2, 3))) == 1
+    assert len(cache.seed_specs("qa", "SB-CLASSIFIER", seeds=(1, 2))) == 2
 
 
-def test_run_seeds_runs_every_seeded_crawler_once_per_seed(cache):
+def test_seed_specs_keep_every_seed_of_seeded_crawlers(cache):
     """Every crawler make_crawler hands a seed is averaged over all the
     seeds (FOCUSED's SGD model and TP-OFF's HNSW levels take it)."""
     for name in CRAWLER_ORDER:
-        if name not in ("BFS", "DFS"):
-            assert len(cache.run_seeds("qa", name, seeds=(1, 2))) == 2, name
+        if name not in SEEDLESS_CRAWLERS:
+            assert len(cache.seed_specs("qa", name, seeds=(1, 2))) == 2, name
+
+
+@pytest.mark.parametrize("name", SEEDLESS_CRAWLERS)
+def test_seedless_crawlers_ignore_the_seed(name):
+    """The seedless list cannot drift from make_crawler: each crawler
+    it names crawls the same under two seeds."""
+    digests = {
+        trace_digest(make_crawler(name, seed=seed).crawl(
+            CrawlEnvironment(load_paper_site("qa", scale=0.05))
+        ).trace)
+        for seed in (1, 2)
+    }
+    assert len(digests) == 1
+
+
+def test_spec_normalises_what_make_crawler_overrides():
+    default = CrawlSpec("qa", "SB-ORACLE", 3)
+    assert CrawlSpec("qa", "SB-ORACLE", 3, sb_config=SBConfig(seed=9)) == default
+    assert CrawlSpec(
+        "qa", "SB-ORACLE", 3, sb_config=SBConfig(alpha=2.0 * math.sqrt(2.0))
+    ) == default
+    assert default.sb_config == SBConfig(seed=3, use_oracle=True)
+    assert CrawlSpec("qa", "BFS", sb_config=SBConfig(theta=0.5)).sb_config is None
+    assert trace_name(default) == "qa-SB-ORACLE-s3.jsonl"
+    assert trace_name(CrawlSpec(
+        "qa", "SB-ORACLE", 3, sb_config=SBConfig(ngram_n=1, theta=0.5)
+    )) == "qa-SB-ORACLE-s3-theta=0.5,ngram_n=1.jsonl"
+
+
+class CountingBackend(SerialBackend):
+    """The serial backend, counting the crawls it runs."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.n_crawls = 0
+
+    def run_tasks(self, tasks):
+        self.n_crawls += sum(len(task.specs) for task in tasks)
+        return super().run_tasks(tasks)
+
+
+def test_memo_is_keyed_by_value():
+    """Table 4's default-valued rows and Table 5's URL_ONLY-LR are the
+    default SB runs Table 2 already made."""
+    backend = CountingBackend()
+    cache = ResultCache(scale=0.05, backend=backend)
+    config = ExperimentConfig(scale=0.05, seeds=(1,), sites=("qa",))
+    compute_table2(config, cache)
+    before = backend.n_crawls
+    compute_table4(config, cache, sites=("qa",))
+    assert backend.n_crawls - before == 6
+    before = backend.n_crawls
+    compute_table5(config, cache, sites=("qa",))
+    assert backend.n_crawls - before == 7
+
+
+def test_trace_files_are_named_by_the_crawl_they_hold(tmp_path):
+    """Two configs of one (site, crawler, seed) leave two traces, each
+    with its own run's fetches and its config in the header."""
+    cache = ResultCache(scale=SCALE, trace_dir=tmp_path)
+    runs = {
+        "default": cache.run("qa", "SB-CLASSIFIER"),
+        "theta": cache.run("qa", "SB-CLASSIFIER",
+                           sb_config=SBConfig(theta=0.5)),
+    }
+    assert runs["default"].n_requests != runs["theta"].n_requests
+    files = {
+        "default": tmp_path / "qa-SB-CLASSIFIER-s1.jsonl",
+        "theta": tmp_path / "qa-SB-CLASSIFIER-s1-theta=0.5.jsonl",
+    }
+    assert sorted(tmp_path.iterdir()) == sorted(files.values())
+    for key, path in files.items():
+        meta, events = read_events(path)
+        assert sum(e.kind == "fetch" for e in events) == runs[key].n_requests
+        assert meta.get("config") == ({"theta": 0.5} if key == "theta" else None)
 
 
 def test_default_cache_shared():
@@ -171,3 +255,29 @@ def test_report_helpers():
     plot = ascii_curve([0, 1, 2], [0, 1, 4], title="p")
     assert "p" in plot and "*" in plot
     assert "no data" in ascii_curve([], [], title="q")
+
+
+def test_tables_are_byte_identical_on_both_backends(tmp_path):
+    """Table 2, Table 5 and Figure 4 on two sites and two seeds: the
+    serial backend and a two-process pool give byte-identical renders
+    and trace files."""
+    sites = ("cl", "qa")
+    config = ExperimentConfig(scale=0.05, seeds=(1, 2), sites=sites)
+    renders, traces = [], []
+    for name, backend in (("serial", SerialBackend()),
+                          ("pool", MultiprocessingBackend(2))):
+        trace_dir = tmp_path / name
+        cache = ResultCache(scale=0.05, trace_dir=trace_dir, backend=backend)
+        renders.append([
+            compute_table2(config, cache).render(),
+            compute_table5(config, cache, sites=sites).render(),
+            compute_figure4(config, cache, sites=sites).render(),
+        ])
+        traces.append({
+            path.name: path.read_bytes() for path in trace_dir.iterdir()
+        })
+    assert renders[0] == renders[1]
+    assert traces[0] == traces[1]
+    # per site: 5 seeded crawlers x 2 seeds, BFS, DFS, the early-stopping
+    # run and the 7 non-default classifier variants
+    assert len(traces[0]) == 2 * (5 * 2 + 2 + 1 + 7)
