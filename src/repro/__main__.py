@@ -55,7 +55,7 @@ EXPERIMENTS = {
     "figure5": lambda config, cache: compute_figure5(config, cache),
     "figure7": _figure7,
     "figure15": lambda config, cache: compute_figure15("in", config, cache),
-    "faultmatrix": compute_fault_matrix,
+    "faultmatrix": lambda config, cache: compute_fault_matrix(config),
 }
 
 
@@ -240,12 +240,13 @@ def _compare(config: ExperimentConfig, cache: ResultCache):
 
 
 def _table_backend():
-    """The tables' worker pool: one process per usable CPU, or serial
-    on a single CPU (the outputs are the same either way)."""
-    from repro.campaign import MultiprocessingBackend, SerialBackend
+    """The tables' worker pool: one process per usable CPU, or None on
+    a single CPU, where ``ResultCache`` crawls serially on the graphs it
+    generated itself (the outputs are the same either way)."""
+    from repro.campaign import MultiprocessingBackend
 
     n_cpus = len(os.sched_getaffinity(0))
-    return MultiprocessingBackend(n_cpus) if n_cpus > 1 else SerialBackend()
+    return MultiprocessingBackend(n_cpus) if n_cpus > 1 else None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -267,7 +267,7 @@ def _site_outcome(spec: CrawlSpec, result) -> SiteOutcome:
     )
 
 
-def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
+def run_shard(task: ShardTask, shutdown=None, load_site=None) -> ShardOutcome:
     """Run every crawl of one shard, in order; the single worker entry
     point.
 
@@ -286,7 +286,8 @@ def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
     partially-completed shard so the final outcome — and the merged
     report digest — is byte-identical to an uninterrupted run.
     Checkpoints are stored per site, so a checkpointed task holds at
-    most one spec per site.
+    most one spec per site.  ``load_site(site, scale)`` supplies each
+    site's graph (default: generate it with ``load_paper_site``).
     """
     from repro.http.environment import CrawlEnvironment
     from repro.webgraph.sites import load_paper_site
@@ -348,7 +349,8 @@ def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
                         loaded_site.payload["extras"]["observer"]
                     )
         if (spec.site, spec.scale) != env_key:
-            env = CrawlEnvironment(load_paper_site(spec.site, scale=spec.scale))
+            graph = (load_site or load_paper_site)(spec.site, spec.scale)
+            env = CrawlEnvironment(graph)
             env_key = (spec.site, spec.scale)
         try:
             result = _crawl_site(task, spec, env, observer, checkpointer)
@@ -393,10 +395,14 @@ class SerialBackend:
 
     name = "serial"
 
-    def __init__(self, shutdown=None) -> None:
+    def __init__(self, shutdown=None, load_site=None) -> None:
         #: optional ShutdownFlag checked between (and, via the crawl
         #: checkpointer, inside) shards for graceful durable shutdown
         self.shutdown = shutdown
+        #: optional ``(site, scale) -> WebsiteGraph`` handed to
+        #: :func:`run_shard`; ``ResultCache`` passes its own, so a
+        #: serial table run generates each site once
+        self.load_site = load_site
 
     def run_tasks(self, tasks: list[ShardTask]) -> list[ShardOutcome]:
         outcomes: list[ShardOutcome] = []
@@ -404,10 +410,7 @@ class SerialBackend:
         try:
             while pending:
                 task = pending.pop(0)
-                if self.shutdown is not None:
-                    outcome = run_shard(task, shutdown=self.shutdown)
-                else:
-                    outcome = run_shard(task)
+                outcome = run_shard(task, self.shutdown, self.load_site)
                 outcomes.append(outcome)
                 if outcome.status == "interrupted":
                     # Durable shutdown: the in-flight shard checkpointed

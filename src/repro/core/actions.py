@@ -37,19 +37,13 @@ class ActionSpace:
         self,
         vectorizer: TagPathVectorizer,
         theta: float = 0.75,
-        M: int = 8,
-        ef_construction: int = 32,
-        ef_search: int = 24,
         seed: int = 0,
     ) -> None:
         if not 0.0 <= theta <= 1.0:
             raise ValueError("theta must be in [0, 1]")
         self.vectorizer = vectorizer
         self.theta = theta
-        self.index = HnswIndex(
-            vectorizer.dim, M=M, ef_construction=ef_construction,
-            ef_search=ef_search, seed=seed,
-        )
+        self.index = HnswIndex(vectorizer.dim, seed=seed)
         self._stats: dict[int, ActionStats] = {}
         self._next_id = 0
         #: cache: identical tag-path strings always map to the same action,

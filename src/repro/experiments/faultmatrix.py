@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_table
 from repro.baselines import make_crawler
-from repro.experiments.runner import ResultCache
 from repro.http.client import RetryPolicy
 from repro.http.environment import CrawlEnvironment
 from repro.http.faults import FaultPlan, FaultSpec
@@ -74,7 +73,6 @@ def _metric(observer: MetricsObserver, name: str) -> float:
 
 def compute_fault_matrix(
     config: ExperimentConfig | None = None,
-    cache: ResultCache | None = None,
     *,
     site: str = "cl",
     crawler: str = "BFS",
@@ -83,12 +81,12 @@ def compute_fault_matrix(
 ) -> FaultMatrixResult:
     """Crawl ``site`` once per fault rate and tabulate recall vs cost.
 
-    ``cache`` is accepted for driver uniformity but unused: fault
-    injection changes server behaviour, so every cell needs a fresh
-    environment rather than a memoised clean run.
+    The site is generated once; each rate crawls it in a fresh
+    environment, since fault injection changes server behaviour and
+    no memoised clean run can stand in for a cell.
     """
     config = config or ExperimentConfig()
-    del cache  # each rate mutates server behaviour; nothing is reusable
+    graph = load_paper_site(site, scale=config.scale)
     recall_pct: list[float] = []
     requests: list[float] = []
     retries: list[float] = []
@@ -97,7 +95,6 @@ def compute_fault_matrix(
     faults_injected: list[float] = []
 
     for rate in rates:
-        graph = load_paper_site(site, scale=config.scale)
         observer = MetricsObserver()
         fault_plan = None
         if rate > 0:

@@ -25,6 +25,7 @@ from repro.campaign import (
 )
 from repro.core.crawler import SBConfig
 from repro.http.environment import CrawlEnvironment
+from repro.webgraph.model import WebsiteGraph
 from repro.webgraph.sites import PAPER_SITES, load_paper_site
 
 #: Row order of the comparison tables (paper's Tables 2–3).
@@ -42,11 +43,13 @@ CRAWLER_ORDER: tuple[str, ...] = (
 class ResultCache:
     """Memoises environments and crawl outcomes for one process.
 
-    Crawls run on ``backend`` (default :class:`SerialBackend`); the
-    outcomes are the same on every backend.  With ``trace_dir`` set,
-    every *fresh* crawl (cache hits are replays, not runs) records its
-    full event stream to ``<trace_dir>/<trace_name(spec)>`` — the file
-    ``python -m repro.obs report`` consumes (docs/observability.md).
+    Crawls run on ``backend``; the outcomes are the same on every
+    backend.  The default, a :class:`SerialBackend`, crawls the graphs
+    :meth:`env` holds, so each site is generated once.  With
+    ``trace_dir`` set, every *fresh* crawl (cache hits are replays, not
+    runs) records its full event stream to
+    ``<trace_dir>/<trace_name(spec)>`` — the file ``python -m repro.obs
+    report`` consumes (docs/observability.md).
     """
 
     def __init__(
@@ -57,7 +60,10 @@ class ResultCache:
     ) -> None:
         self.scale = scale
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self.backend = backend if backend is not None else SerialBackend()
+        self.backend = (
+            backend if backend is not None
+            else SerialBackend(load_site=self._load_site)
+        )
         self._envs: dict[str, CrawlEnvironment] = {}
         self._outcomes: dict[CrawlSpec, SiteOutcome] = {}
 
@@ -69,6 +75,13 @@ class ResultCache:
             cached = CrawlEnvironment(load_paper_site(site, scale=self.scale))
             self._envs[site] = cached
         return cached
+
+    def _load_site(self, site: str, scale: float) -> WebsiteGraph:
+        """A serial crawl's graph: at this cache's scale, the one
+        :meth:`env` holds, so each site is generated once per process."""
+        if scale != self.scale:
+            return load_paper_site(site, scale=scale)
+        return self.env(site).graph
 
     def sites(self) -> list[str]:
         return sorted(PAPER_SITES)

@@ -158,8 +158,10 @@ class CrawlEnvironment:
         return urls
 
     def invalidate(self, url: str) -> None:
-        """Drop the cached parse of ``url`` (used by revisit crawling
-        when a page's content changes)."""
+        """Drop the cached parse of ``url``.  The page's content changed
+        in the simulated web (revisit epochs call this with the server's
+        own ``invalidate`` for every changed URL); a crawler never
+        learns from it."""
         self._parse_cache.pop(url, None)
 
     def in_site(self, url: str) -> bool:

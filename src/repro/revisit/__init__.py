@@ -13,8 +13,8 @@ implements that extension over the same substrate:
   (Cho & Garcia-Molina style), Beta-Bernoulli Thompson Sampling
   (Schulam & Muslea 2023), and a tag-path-group policy that reuses the
   SB crawler's structural grouping;
-* :func:`simulate_revisits` — an epoch-based harness measuring how many
-  newly published targets each policy discovers per revisit budget.
+* :func:`simulate_revisits` — an epoch-based harness on the crawl kernel,
+  measuring how many newly published targets each policy discovers.
 """
 
 from repro.revisit.evolution import EvolvingSite, PageChange

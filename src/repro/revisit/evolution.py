@@ -75,7 +75,7 @@ class EvolvingSite:
                     new_targets_per_epoch * weight / total
                 )
 
-    # -- observation API (what a revisiting crawler can see) -------------
+    # -- ground truth (for scoring and tests; no crawler sees it) --------
 
     def version(self, url: str) -> int:
         state = self._states.get(url)
@@ -136,9 +136,9 @@ class EvolvingSite:
         )
         self.graph.add_page(page)
         # New releases appear in the catalog's existing download slot:
-        # reuse the tag path of a previous target link when available.
-        download_paths = [l.tag_path for l in catalog.links]
-        tag_path = download_paths[-1] if download_paths else "html body a"
+        # reuse the tag path of its last link when it has one.
+        links = catalog.links
+        tag_path = links[-1].tag_path if links else "html body a"
         catalog.links.append(
             Link(url=url, tag_path=tag_path, anchor="New release")
         )

@@ -1,20 +1,25 @@
-"""Epoch-based revisit simulation.
+"""Epoch-based revisit simulation, run on the crawl kernel.
 
-Protocol: an initial full crawl builds the page inventory (with each
-page's inbound tag-path group, reusing the SB machinery); then, for each
-epoch, the site evolves (edits + newly published targets), the policy
-picks ``budget`` pages to revisit, the harness GETs them, detects
-changes via the page version, extracts any previously unseen target
-links and fetches them immediately.  The headline metric is the recall
-of newly published targets under the revisit budget.
+Protocol: an SB-CLASSIFIER crawl of the site builds the page inventory:
+every page it fetched as HTML, grouped by the bandit action that pulled
+it, with the set of links it had.  Then, each epoch, the site evolves
+(edits + newly published targets), the policy picks ``budget`` pages to
+revisit, and one kernel crawl fetches exactly those pages plus, at
+once, every link no earlier fetch has seen.  A page counts as changed
+when its links differ from its last fetch, and the targets fetched from
+it are the ones the kernel counted by response MIME: everything the
+policy is fed comes from responses.  The site's own change log is read
+only to score: the headline metric is the recall of newly published
+targets under the revisit budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.actions import ActionSpace
-from repro.core.tagpath import TagPathVectorizer
+from repro.baselines.simple import BFSCrawler
+from repro.core.crawler import SBConfig, SBCrawler
+from repro.core.url_classifier import UrlClass
 from repro.http.environment import CrawlEnvironment
 from repro.revisit.evolution import EvolvingSite
 from repro.revisit.policies import RevisitPolicy
@@ -49,6 +54,57 @@ class RevisitReport:
         )
 
 
+def _link_set(parsed) -> frozenset[str]:
+    return frozenset(link.url for link in parsed.links)
+
+
+class _InventoryCrawler(SBCrawler):
+    """SB-CLASSIFIER that keeps, for every page it fetches as HTML, the
+    action that pulled it (None for a root-pool draw; a redirect carries
+    its action to the landing page) and the page's link set."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(SBConfig(seed=seed))
+        self.group: dict[str, int | None] = {}
+        self.links: dict[str, frozenset[str]] = {}
+
+    def on_response(self, kernel, url, ctx, kind, parsed) -> None:
+        super().on_response(kernel, url, ctx, kind, parsed)
+        if kind is UrlClass.HTML:
+            self.group[url] = ctx
+            self.links[url] = _link_set(parsed)
+
+
+class _EpochCrawler(BFSCrawler):
+    """One epoch of revisits: fetch the picked pages, and at once every
+    link of theirs that is not yet ``known`` (``known`` and ``links``
+    are shared across epochs and updated in place)."""
+
+    name = "REVISIT"
+
+    def __init__(self, picks: list[str], known: set[str],
+                 links: dict[str, frozenset[str]]) -> None:
+        self.picks = picks
+        self.known = known
+        self.links = links
+        self.changed: dict[str, bool] = {}
+        self.found: dict[str, int] = {}
+
+    def seeds(self, kernel) -> list[str]:
+        return self.picks
+
+    def on_link(self, kernel, link, source, parsed) -> bool:
+        fresh = link.url not in self.known
+        self.known.add(link.url)
+        return fresh
+
+    def after_page(self, kernel, url, ctx, parsed, reward) -> None:
+        links = _link_set(parsed)
+        self.changed[url] = links != self.links.get(url)
+        self.links[url] = links
+        self.found[url] = reward
+
+
 def simulate_revisits(
     graph: WebsiteGraph,
     policy: RevisitPolicy,
@@ -58,69 +114,34 @@ def simulate_revisits(
     seed: int = 0,
 ) -> RevisitReport:
     """Run the revisit protocol; the graph is mutated (pass a fresh one)."""
-    site = EvolvingSite(
-        graph, new_targets_per_epoch=new_targets_per_epoch, seed=seed
-    )
+    site = EvolvingSite(graph, new_targets_per_epoch, seed)
     env = CrawlEnvironment(graph)
-    client = env.new_client(f"revisit-{policy.name}")
+    inventory = _InventoryCrawler(seed)
+    known = set(inventory.crawl(env).visited)
+    for url, group in inventory.group.items():
+        policy.register(url, now=0.0, group=group)
 
-    # Inventory from an initial full crawl: every HTML page, grouped by
-    # the tag-path action of one inbound link (SB structure reuse).
-    vectorizer = TagPathVectorizer(n=2, m=8)
-    actions = ActionSpace(vectorizer, theta=0.75, seed=seed)
-    inbound_group: dict[str, int] = {}
-    for page in graph.html_pages():
-        for link in page.links:
-            if link.url not in inbound_group and link.url in graph:
-                if graph.page(link.url).is_html:
-                    inbound_group[link.url] = actions.assign(link.tag_path)
-    known_targets = set(graph.target_urls())
-    last_version: dict[str, int] = {}
-    for page in graph.html_pages():
-        policy.register(page.url, now=0.0, group=inbound_group.get(page.url))
-        last_version[page.url] = site.version(page.url)
-
-    report = RevisitReport(
-        policy=policy.name,
-        n_epochs=n_epochs,
-        budget_per_epoch=budget_per_epoch,
-    )
+    report = RevisitReport(policy.name, n_epochs, budget_per_epoch)
+    published: set[str] = set()
 
     for _ in range(n_epochs):
-        changes = site.advance(1.0)
-        published_now = [
-            c.new_target_url for c in changes
-            if c.kind == "new-target" and c.new_target_url
-        ]
-        report.published += len(published_now)
+        for change in site.advance(1.0):
+            # Cache coherence of the simulated web, not crawler knowledge.
+            env.server.invalidate(change.url)
+            env.invalidate(change.url)
+            if change.new_target_url:
+                published.add(change.new_target_url)
 
-        for url in policy.schedule(budget_per_epoch, site.now):
-            site_version = site.version(url)
-            changed = site_version != last_version.get(url, 0)
-            last_version[url] = site_version
-            report.revisit_requests += 1
-            new_found = 0
-            if changed:
-                # Re-fetch and re-parse the changed page for new links.
-                env.server.invalidate(url)
-                response = client.get(url)
-                if response.ok and "html" in (response.mime_root() or ""):
-                    env.invalidate(url)
-                    for link in env.parse(response).links:
-                        if (
-                            link.url not in known_targets
-                            and env.in_site(link.url)
-                            and link.url in graph
-                            and graph.page(link.url).is_target
-                        ):
-                            target_response = client.get(link.url)
-                            report.target_requests += 1
-                            if target_response.ok:
-                                known_targets.add(link.url)
-                                new_found += 1
-            policy.observe(url, changed, new_found, site.now)
-            report.discovered += new_found
-        recall = report.discovered / report.published if report.published else 1.0
-        report.per_epoch_recall.append(recall)
+        picks = policy.schedule(budget_per_epoch, site.now)
+        epoch = _EpochCrawler(picks, known, inventory.links)
+        result = epoch.crawl(env)
+        for url in picks:
+            policy.observe(url, epoch.changed.get(url, False),
+                           epoch.found.get(url, 0), site.now)
+        report.published = len(published)
+        report.discovered += len(result.targets & published)
+        report.revisit_requests += len(picks)
+        report.target_requests += len(result.visited) - len(picks)
+        report.per_epoch_recall.append(report.recall)
 
     return report

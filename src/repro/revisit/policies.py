@@ -3,7 +3,7 @@
 A policy sees the inventory of known HTML pages, receives feedback after
 every revisit ("did this page change since the last visit? did it expose
 new targets?"), and each epoch picks which pages to revisit under a
-request budget.
+request budget: the pages of highest :meth:`RevisitPolicy.priority`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ class PageObservation:
     n_visits: int = 0
     n_changed: int = 0
     n_new_targets: int = 0
-    first_seen: float = 0.0
+    group: int | None = None  # tag-path action of the inbound link
 
 
 class RevisitPolicy(ABC):
@@ -35,22 +35,28 @@ class RevisitPolicy(ABC):
 
     def register(self, url: str, now: float = 0.0, group: int | None = None) -> None:
         """Add a page to the inventory (group: its tag-path action id)."""
-        if url not in self.pages:
-            self.pages[url] = PageObservation(first_seen=now, last_visit=now)
+        self.pages.setdefault(url, PageObservation(last_visit=now, group=group))
 
     def observe(
         self, url: str, changed: bool, new_targets: int, now: float
     ) -> None:
-        entry = self.pages.setdefault(url, PageObservation(first_seen=now))
+        entry = self.pages.setdefault(url, PageObservation())
         entry.n_visits += 1
         entry.last_visit = now
-        if changed:
-            entry.n_changed += 1
+        entry.n_changed += changed
         entry.n_new_targets += new_targets
 
-    @abstractmethod
     def schedule(self, budget: int, now: float) -> list[str]:
-        """Pick up to ``budget`` pages to revisit at epoch ``now``."""
+        """Pick up to ``budget`` pages to revisit at epoch ``now``: the
+        highest priorities, ties in inventory order."""
+        pages = self.pages
+        return sorted(
+            pages, key=lambda url: self.priority(pages[url], now), reverse=True
+        )[:budget]
+
+    @abstractmethod
+    def priority(self, entry: PageObservation, now: float) -> float:
+        """What revisiting the page of ``entry`` at epoch ``now`` is worth."""
 
 
 class UniformRevisitPolicy(RevisitPolicy):
@@ -62,9 +68,8 @@ class UniformRevisitPolicy(RevisitPolicy):
 
     name = "UNIFORM"
 
-    def schedule(self, budget: int, now: float) -> list[str]:
-        stalest = sorted(self.pages, key=lambda u: self.pages[u].last_visit)
-        return stalest[:budget]
+    def priority(self, entry: PageObservation, now: float) -> float:
+        return -entry.last_visit
 
 
 class ChangeRatePolicy(RevisitPolicy):
@@ -76,15 +81,9 @@ class ChangeRatePolicy(RevisitPolicy):
 
     name = "CHANGE-RATE"
 
-    def schedule(self, budget: int, now: float) -> list[str]:
-        def priority(url: str) -> float:
-            entry = self.pages[url]
-            rate = (entry.n_changed + 0.5) / (entry.n_visits + 1.0)
-            staleness = now - entry.last_visit
-            return rate * max(staleness, 0.0)
-
-        ranked = sorted(self.pages, key=priority, reverse=True)
-        return ranked[:budget]
+    def priority(self, entry: PageObservation, now: float) -> float:
+        rate = (entry.n_changed + 0.5) / (entry.n_visits + 1.0)
+        return rate * max(now - entry.last_visit, 0.0)
 
 
 class ThompsonRevisitPolicy(RevisitPolicy):
@@ -94,16 +93,11 @@ class ThompsonRevisitPolicy(RevisitPolicy):
 
     name = "THOMPSON"
 
-    def schedule(self, budget: int, now: float) -> list[str]:
-        def sample(url: str) -> float:
-            entry = self.pages[url]
-            alpha = 1.0 + entry.n_changed
-            beta = 1.0 + entry.n_visits - entry.n_changed
-            p = self._rng.betavariate(alpha, beta)
-            return p * max(now - entry.last_visit, 0.0)
-
-        ranked = sorted(self.pages, key=sample, reverse=True)
-        return ranked[:budget]
+    def priority(self, entry: PageObservation, now: float) -> float:
+        alpha = 1.0 + entry.n_changed
+        beta = 1.0 + entry.n_visits - entry.n_changed
+        p = self._rng.betavariate(alpha, beta)
+        return p * max(now - entry.last_visit, 0.0)
 
 
 class TagPathGroupPolicy(RevisitPolicy):
@@ -120,41 +114,26 @@ class TagPathGroupPolicy(RevisitPolicy):
 
     def __init__(self, seed: int = 0) -> None:
         super().__init__(seed)
-        self._group_of: dict[str, int] = {}
-        self._group_yield: dict[int, float] = {}
-        self._group_visits: dict[int, int] = {}
-
-    def register(self, url: str, now: float = 0.0, group: int | None = None) -> None:
-        super().register(url, now)
-        if group is not None:
-            self._group_of[url] = group
-            self._group_yield.setdefault(group, 0.0)
-            self._group_visits.setdefault(group, 0)
+        #: group -> [new targets found, visits] over all its pages
+        self._group_tally: dict[int, list[float]] = {}
 
     def observe(
         self, url: str, changed: bool, new_targets: int, now: float
     ) -> None:
         super().observe(url, changed, new_targets, now)
-        group = self._group_of.get(url)
+        group = self.pages[url].group
         if group is not None:
-            self._group_visits[group] = self._group_visits.get(group, 0) + 1
-            self._group_yield[group] = (
-                self._group_yield.get(group, 0.0) + new_targets
-            )
+            tally = self._group_tally.setdefault(group, [0.0, 0])
+            tally[0] += new_targets
+            tally[1] += 1
 
     def _group_score(self, group: int | None) -> float:
         if group is None:
             return 0.0
-        visits = self._group_visits.get(group, 0)
-        return (self._group_yield.get(group, 0.0) + 0.5) / (visits + 1.0)
+        found, visits = self._group_tally.get(group, (0.0, 0))
+        return (found + 0.5) / (visits + 1.0)
 
-    def schedule(self, budget: int, now: float) -> list[str]:
-        def priority(url: str) -> float:
-            entry = self.pages[url]
-            own_rate = (entry.n_new_targets + 0.25) / (entry.n_visits + 1.0)
-            group_rate = self._group_score(self._group_of.get(url))
-            staleness = max(now - entry.last_visit, 0.0)
-            return (own_rate + group_rate) * staleness
-
-        ranked = sorted(self.pages, key=priority, reverse=True)
-        return ranked[:budget]
+    def priority(self, entry: PageObservation, now: float) -> float:
+        own_rate = (entry.n_new_targets + 0.25) / (entry.n_visits + 1.0)
+        group_rate = self._group_score(entry.group)
+        return (own_rate + group_rate) * max(now - entry.last_visit, 0.0)

@@ -318,7 +318,7 @@ def test_serial_interrupt_yields_partial_report(monkeypatch):
     real = workers.run_shard
     calls = []
 
-    def explode_after_one(task):
+    def explode_after_one(task, *options):
         if calls:
             raise KeyboardInterrupt
         calls.append(task.shard_id)

@@ -7,8 +7,12 @@ or dead-lettered.  Each test here runs all nine crawlers of the
 registry, so a crawler cannot keep a private fetch path that breaks one.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baselines import CRAWLER_NAMES, make_crawler
 from repro.http.client import RetryPolicy
 from repro.http.environment import CrawlEnvironment
@@ -147,3 +151,27 @@ def test_total_outage_dead_letters_everything(small_site, name):
     assert result.targets == set()
     assert result.dead_letters
     assert set(result.dead_letters) == result.visited
+
+
+# -- one fetch path ------------------------------------------------------------
+
+def test_only_the_kernel_opens_clients():
+    """Every request in ``src/repro`` goes through ``CrawlKernel``: no
+    other module opens an HTTP client."""
+    root = Path(repro.__file__).parent
+    openers = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "new_client":
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or node.lineno in allowed:
+                continue
+            func = node.func
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            if name in ("new_client", "HttpClient"):
+                openers.append(f"{path.relative_to(root).as_posix()}:{node.lineno}")
+    assert openers
+    assert [o for o in openers if not o.startswith("core/kernel.py:")] == []

@@ -1,7 +1,11 @@
 """Tests for the incremental-revisit extension."""
 
+from urllib.parse import urlsplit
+
 import pytest
 
+from repro.http.robots import parse_robots_txt
+from repro.http.server import SimulatedServer
 from repro.revisit.evolution import EvolvingSite
 from repro.revisit.harness import simulate_revisits
 from repro.revisit.policies import (
@@ -165,3 +169,35 @@ def test_structure_aware_policy_competitive():
     tagpath = run(TagPathGroupPolicy, "evo-cmp-tp")
     uniform = run(UniformRevisitPolicy, "evo-cmp-un")
     assert tagpath.recall >= uniform.recall
+
+
+def test_revisits_never_fetch_a_robots_disallowed_page(monkeypatch):
+    """robots.txt binds revisits as it binds the first crawl: a
+    publishing catalog under a disallowed path is never fetched, nor
+    are the releases it links."""
+    graph = _graph(name="evo-robots", n_pages=150)
+    targets = graph.target_urls()
+    catalog = next(
+        page.url for page in graph.html_pages()
+        if page.url != graph.root_url
+        and any(link.url in targets for link in page.links)
+    )
+    graph.robots_txt += f"Disallow: {urlsplit(catalog).path}\n"
+    robots = parse_robots_txt(graph.robots_txt)
+    assert not robots.allowed(catalog)
+
+    gets = []
+    serve = SimulatedServer.get
+
+    def recording_get(server, url):
+        gets.append(url)
+        return serve(server, url)
+
+    monkeypatch.setattr(SimulatedServer, "get", recording_get)
+    report = simulate_revisits(
+        graph, UniformRevisitPolicy(seed=1), n_epochs=6,
+        budget_per_epoch=len(graph.html_pages()),
+        new_targets_per_epoch=10.0, seed=3,
+    )
+    assert report.discovered > 0
+    assert [url for url in gets if not robots.allowed(url)] == []
