@@ -3,9 +3,9 @@
 All table/figure benchmarks share one ResultCache at ``BENCH_SCALE`` so
 each crawl (one ``CrawlSpec``) runs once per session (the paper's
 local-replication methodology).  The crawls run on the serial backend,
-each site's in a fresh environment of the worker's; the cache's own
-environments serve graph statistics, and the crawls a test makes on them
-directly.  Rendered tables are written to ``bench_results/`` so the
+each site's in a fresh environment the worker builds and drops; the
+cache keeps only each site's facts (graph statistics and target
+totals).  Rendered tables are written to ``bench_results/`` so the
 regenerated paper artefacts survive the run.
 """
 

@@ -9,7 +9,7 @@ import math
 
 from benchmarks.conftest import save_rendered
 from repro.analysis.metrics import requests_to_fraction
-from repro.core.crawler import SBConfig, sb_oracle
+from repro.core.crawler import SBConfig
 
 POLICIES = ("auer", "epsilon-greedy", "thompson")
 SITES = ("ju", "in", "nc")
@@ -21,13 +21,14 @@ def test_bench_ablation_bandit(benchmark, bench_cache, results_dir):
         for policy in POLICIES:
             per_site = []
             for site in SITES:
-                env = bench_cache.env(site)
-                result = sb_oracle(
-                    SBConfig(seed=1, bandit_policy=policy)
-                ).crawl(env)
+                facts = bench_cache.facts(site)
+                result = bench_cache.run(
+                    site, "SB-ORACLE",
+                    sb_config=SBConfig(bandit_policy=policy),
+                )
                 per_site.append(
                     requests_to_fraction(
-                        result.trace, env.total_targets(), env.n_available()
+                        result.trace, facts.total_targets, facts.n_available
                     )
                 )
             rows[policy] = per_site

@@ -10,10 +10,11 @@ both the comparison and the cost blow-up measurement.
 import math
 import time
 
-from benchmarks.conftest import save_rendered
+from benchmarks.conftest import BENCH_SCALE, save_rendered
 from repro.analysis.metrics import requests_to_fraction
-from repro.core.crawler import SBConfig, sb_classifier
 from repro.baselines import make_crawler
+from repro.http.environment import CrawlEnvironment
+from repro.webgraph.sites import load_paper_site
 
 SITES = ("qa", "cl", "cn", "be")
 
@@ -22,8 +23,9 @@ def test_bench_tres_comparison(benchmark, bench_cache, results_dir):
     def run():
         rows = []
         for site in SITES:
-            env = bench_cache.env(site)
-            total, avail = env.total_targets(), env.n_available()
+            facts = bench_cache.facts(site)
+            total, avail = facts.total_targets, facts.n_available
+            env = CrawlEnvironment(load_paper_site(site, scale=BENCH_SCALE))
             started = time.perf_counter()
             tres = make_crawler("TRES", seed=1).crawl(env)
             tres_seconds = time.perf_counter() - started

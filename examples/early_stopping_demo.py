@@ -7,7 +7,7 @@ Run:  python examples/early_stopping_demo.py
 """
 
 from repro import CrawlEnvironment, SBConfig, SBCrawler, load_paper_site, sb_classifier
-from repro.experiments.config import scaled_early_stopping
+from repro.core.early_stopping import scaled_early_stopping
 from repro.experiments.report import ascii_curve
 from repro.analysis.metrics import targets_vs_requests_curve
 

@@ -213,11 +213,11 @@ def _compare(config: ExperimentConfig, cache: ResultCache):
     for crawler in CRAWLER_ORDER:
         values = []
         for site in sites:
-            env = cache.env(site)
+            facts = cache.facts(site)
             values.append(
                 requests_to_fraction(
                     outcomes[specs[crawler, site]].trace,
-                    env.total_targets(), env.n_available(),
+                    facts.total_targets, facts.n_available,
                 )
             )
         metrics[crawler] = values
@@ -241,8 +241,8 @@ def _compare(config: ExperimentConfig, cache: ResultCache):
 
 def _table_backend():
     """The tables' worker pool: one process per usable CPU, or None on
-    a single CPU, where ``ResultCache`` crawls serially on the graphs it
-    generated itself (the outputs are the same either way)."""
+    a single CPU, where ``ResultCache`` crawls serially in-process (the
+    outputs are the same either way)."""
     from repro.campaign import MultiprocessingBackend
 
     n_cpus = len(os.sched_getaffinity(0))

@@ -43,6 +43,7 @@ from repro.campaign.workers import (
     SerialBackend,
     ShardOutcome,
     ShardTask,
+    SiteFacts,
     SiteOutcome,
     WorkerPool,
     run_shard,
@@ -64,6 +65,7 @@ __all__ = [
     "CrawlSpec",
     "ShardTask",
     "SiteOutcome",
+    "SiteFacts",
     "ShardOutcome",
     "WorkerPool",
     "SerialBackend",

@@ -6,9 +6,10 @@ tuple of specs plus where to trace and checkpoint them, and a
 :class:`ShardOutcome` is everything the caller needs back: one
 :class:`SiteOutcome` per spec (counts, ledger, trace digest, and the
 trace and crawler statistics the paper tables read), plus the shard's
-folded metrics registry.  All are plain picklable dataclasses, so the
-same :func:`run_shard` function serves both backends and both callers,
-the campaign engine and the tables' ``ResultCache``:
+folded metrics registry and each site's :class:`SiteFacts`.  All are
+plain picklable dataclasses, so the same :func:`run_shard` function
+serves both backends and both callers, the campaign engine and the
+tables' ``ResultCache``:
 
 * :class:`SerialBackend` — the deterministic reference.  Executes
   tasks one at a time in the given dispatch order, in-process;
@@ -31,19 +32,22 @@ from __future__ import annotations
 import hashlib
 import json
 import signal
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Protocol
 
+from repro.analysis.metrics import site_non_target_bytes
 from repro.analysis.trace import CrawlTrace
 from repro.baselines import make_crawler
 from repro.baselines.registry import crawler_sb_config
 from repro.campaign.scheduler import SiteWorkload
 from repro.checkpoint.controller import CrawlInterrupted
 from repro.core.crawler import SBConfig
+from repro.core.early_stopping import scaled_early_stopping
 from repro.http.ledger import CostLedger
 from repro.ml.metrics import ConfusionMatrix
 from repro.obs.metrics import MetricsObserver, MetricsRegistry
 from repro.utils.rng import derive_seed
+from repro.webgraph.model import SiteStatistics, WebsiteGraph
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,8 @@ class CrawlSpec:
     flag, every other crawler's is None.  Two specs are therefore equal
     exactly when they build the same crawler for the same site, which
     makes the spec the tables' memo key; :func:`trace_name` makes it
-    the name of the crawl's trace.
+    the name of the crawl's trace.  An early-stopping crawl's ``es_*``
+    values are scaled to its site in the worker, not set here.
     """
 
     site: str
@@ -161,6 +166,28 @@ class SiteOutcome:
         return SiteWorkload(self.site, self.n_requests, self.total_bytes)
 
 
+@dataclass(frozen=True)
+class SiteFacts:
+    """A generated site's ground truth for the paper tables (no crawler
+    sees it), handed back beside its crawls instead of the graph."""
+
+    site: str
+    scale: float
+    n_available: int
+    total_targets: int
+    total_target_bytes: int
+    site_non_target_bytes: int
+    statistics: SiteStatistics  # Table 1's census
+    mime_by_target: dict[str, str]
+
+    @classmethod
+    def measure(cls, site: str, scale: float, graph: WebsiteGraph):
+        stats, targets = graph.statistics(), graph.target_pages()
+        return cls(site, scale, stats.n_available, stats.n_targets,
+                   sum(p.size for p in targets), site_non_target_bytes(graph),
+                   stats, {p.url: p.mime_type for p in targets})
+
+
 @dataclass
 class ShardOutcome:
     """What one worker hands back for one shard."""
@@ -170,6 +197,7 @@ class ShardOutcome:
     status: str = "completed"
     sites: list[SiteOutcome] = field(default_factory=list)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    facts: list[SiteFacts] = field(default_factory=list)  # one per graph
 
     @property
     def n_requests(self) -> int:
@@ -206,7 +234,11 @@ def _crawl_site(task: ShardTask, spec: CrawlSpec, env,
     from repro.obs.observer import MultiObserver
     from repro.obs.sinks import JsonlSink, truncate_events
 
-    crawler = make_crawler(spec.crawler, spec.seed, spec.sb_config)
+    sb_config = spec.sb_config
+    if sb_config is not None and sb_config.early_stopping:
+        sb_config = replace(sb_config,
+                            **scaled_early_stopping(env.n_available()))
+    crawler = make_crawler(spec.crawler, spec.seed, sb_config)
 
     if task.trace_dir is None:
         env.observer = observer
@@ -267,7 +299,7 @@ def _site_outcome(spec: CrawlSpec, result) -> SiteOutcome:
     )
 
 
-def run_shard(task: ShardTask, shutdown=None, load_site=None) -> ShardOutcome:
+def run_shard(task: ShardTask, shutdown=None) -> ShardOutcome:
     """Run every crawl of one shard, in order; the single worker entry
     point.
 
@@ -277,7 +309,7 @@ def run_shard(task: ShardTask, shutdown=None, load_site=None) -> ShardOutcome:
     crawl is a function of its spec alone — nothing depends on which
     process, or in what order, shards execute.  Consecutive specs on
     the same site and scale share one environment (its render and
-    parse caches are pure).
+    parse caches are pure); each graph leaves only its :class:`SiteFacts`.
 
     With ``task.checkpoint_dir`` set the shard becomes durable: shard
     progress is persisted after every completed crawl, the in-flight
@@ -286,8 +318,7 @@ def run_shard(task: ShardTask, shutdown=None, load_site=None) -> ShardOutcome:
     partially-completed shard so the final outcome — and the merged
     report digest — is byte-identical to an uninterrupted run.
     Checkpoints are stored per site, so a checkpointed task holds at
-    most one spec per site.  ``load_site(site, scale)`` supplies each
-    site's graph (default: generate it with ``load_paper_site``).
+    most one spec per site.
     """
     from repro.http.environment import CrawlEnvironment
     from repro.webgraph.sites import load_paper_site
@@ -349,9 +380,10 @@ def run_shard(task: ShardTask, shutdown=None, load_site=None) -> ShardOutcome:
                         loaded_site.payload["extras"]["observer"]
                     )
         if (spec.site, spec.scale) != env_key:
-            graph = (load_site or load_paper_site)(spec.site, spec.scale)
+            graph = load_paper_site(spec.site, spec.scale)
             env = CrawlEnvironment(graph)
             env_key = (spec.site, spec.scale)
+            outcome.facts.append(SiteFacts.measure(*env_key, graph))
         try:
             result = _crawl_site(task, spec, env, observer, checkpointer)
         except CrawlInterrupted:
@@ -395,14 +427,10 @@ class SerialBackend:
 
     name = "serial"
 
-    def __init__(self, shutdown=None, load_site=None) -> None:
+    def __init__(self, shutdown=None) -> None:
         #: optional ShutdownFlag checked between (and, via the crawl
         #: checkpointer, inside) shards for graceful durable shutdown
         self.shutdown = shutdown
-        #: optional ``(site, scale) -> WebsiteGraph`` handed to
-        #: :func:`run_shard`; ``ResultCache`` passes its own, so a
-        #: serial table run generates each site once
-        self.load_site = load_site
 
     def run_tasks(self, tasks: list[ShardTask]) -> list[ShardOutcome]:
         outcomes: list[ShardOutcome] = []
@@ -410,7 +438,7 @@ class SerialBackend:
         try:
             while pending:
                 task = pending.pop(0)
-                outcome = run_shard(task, self.shutdown, self.load_site)
+                outcome = run_shard(task, self.shutdown)
                 outcomes.append(outcome)
                 if outcome.status == "interrupted":
                     # Durable shutdown: the in-flight shard checkpointed

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.analysis.metrics import targets_vs_requests_curve, volume_curve
 from repro.core.crawler import SBConfig
-from repro.experiments.config import ExperimentConfig, scaled_early_stopping
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import ascii_curve
 from repro.experiments.runner import CRAWLER_ORDER, ResultCache, default_cache
 from repro.webgraph.sites import FIGURE4_SITES
@@ -219,13 +219,9 @@ def compute_figure15(
 ) -> Figure15Result:
     config = config or ExperimentConfig()
     cache = cache or default_cache(config.scale)
-    env = cache.env(site)
-    es_config = SBConfig(
-        early_stopping=True,
-        **scaled_early_stopping(env.n_available()),
-    )
     result = cache.run(
-        site, "SB-CLASSIFIER", seed=config.seeds[0], sb_config=es_config
+        site, "SB-CLASSIFIER", seed=config.seeds[0],
+        sb_config=SBConfig(early_stopping=True),
     )
     requests, targets = targets_vs_requests_curve(result.trace)
     req_x, tgt_y = _downsample(requests, targets)

@@ -6,7 +6,8 @@ the runner memoises outcomes by spec: Table 2, Table 3, Table 6 and the
 figures all reuse the same default-configuration runs, like the paper's
 local-replication methodology reuses one stored crawl database across
 analyses.  The crawls themselves run on the campaign's worker pool
-(:func:`repro.campaign.run_shard`), one shard task per site.
+(:func:`repro.campaign.run_shard`), one shard task per site, which
+hands back the site's :class:`~repro.campaign.SiteFacts`, not its graph.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from repro.campaign import (
     CrawlSpec,
     SerialBackend,
     ShardTask,
+    SiteFacts,
     SiteOutcome,
     WorkerPool,
     site_weights,
 )
 from repro.core.crawler import SBConfig
-from repro.http.environment import CrawlEnvironment
-from repro.webgraph.model import WebsiteGraph
 from repro.webgraph.sites import PAPER_SITES, load_paper_site
 
 #: Row order of the comparison tables (paper's Tables 2–3).
@@ -41,11 +41,11 @@ CRAWLER_ORDER: tuple[str, ...] = (
 
 
 class ResultCache:
-    """Memoises environments and crawl outcomes for one process.
+    """Memoises crawl outcomes and site facts for one process.
 
-    Crawls run on ``backend``; the outcomes are the same on every
-    backend.  The default, a :class:`SerialBackend`, crawls the graphs
-    :meth:`env` holds, so each site is generated once.  With
+    Crawls run on ``backend`` (default: a :class:`SerialBackend`); the
+    outcomes are the same on every backend.  The cache holds no site
+    graph, only each site's :class:`SiteFacts`.  With
     ``trace_dir`` set, every *fresh* crawl (cache hits are replays, not
     runs) records its full event stream to
     ``<trace_dir>/<trace_name(spec)>`` — the file ``python -m repro.obs
@@ -60,28 +60,18 @@ class ResultCache:
     ) -> None:
         self.scale = scale
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self.backend = (
-            backend if backend is not None
-            else SerialBackend(load_site=self._load_site)
-        )
-        self._envs: dict[str, CrawlEnvironment] = {}
+        self.backend = backend if backend is not None else SerialBackend()
         self._outcomes: dict[CrawlSpec, SiteOutcome] = {}
+        self._facts: dict[str, SiteFacts] = {}
 
-    # -- environments ------------------------------------------------------
+    # -- sites -------------------------------------------------------------
 
-    def env(self, site: str) -> CrawlEnvironment:
-        cached = self._envs.get(site)
-        if cached is None:
-            cached = CrawlEnvironment(load_paper_site(site, scale=self.scale))
-            self._envs[site] = cached
-        return cached
-
-    def _load_site(self, site: str, scale: float) -> WebsiteGraph:
-        """A serial crawl's graph: at this cache's scale, the one
-        :meth:`env` holds, so each site is generated once per process."""
-        if scale != self.scale:
-            return load_paper_site(site, scale=scale)
-        return self.env(site).graph
+    def facts(self, site: str) -> SiteFacts:
+        """The site's facts, as a crawl brought them back or measured here."""
+        if site not in self._facts:
+            graph = load_paper_site(site, scale=self.scale)
+            self._facts[site] = SiteFacts.measure(site, self.scale, graph)
+        return self._facts[site]
 
     def sites(self) -> list[str]:
         return sorted(PAPER_SITES)
@@ -146,6 +136,7 @@ class ResultCache:
         for task in tasks:
             shard = shards[task.shard_id]
             self._outcomes.update(zip(task.specs, shard.sites))
+            self._facts.update((f.site, f) for f in shard.facts)
             interrupted |= shard.status != "completed"
         if interrupted:
             # The backend absorbed a Ctrl-C; the finished crawls stay

@@ -67,7 +67,7 @@ def compute_table1(cache: ResultCache | None = None,
     rows: list[Table1Row] = []
     for site in sites or sorted(PAPER_STATS):
         paper = PAPER_STATS[site]
-        stats = cache.env(site).graph.statistics()
+        stats = cache.facts(site).statistics
         rows.append(
             Table1Row(
                 site=site,

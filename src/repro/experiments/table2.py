@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from repro.analysis.metrics import requests_to_fraction
 from repro.core.crawler import SBConfig
 import repro.experiments.paperdata as paperdata
-from repro.experiments.config import ExperimentConfig, scaled_early_stopping
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_table
 from repro.experiments.runner import (
     CRAWLER_ORDER,
@@ -66,10 +66,8 @@ def compute_table2(
     # Early stopping: SB-CLASSIFIER with the monitor vs without.
     base_specs = {site: cache.spec(site, "SB-CLASSIFIER", seed) for site in sites}
     es_specs = {
-        site: cache.spec(site, "SB-CLASSIFIER", seed, sb_config=SBConfig(
-            early_stopping=True,
-            **scaled_early_stopping(cache.env(site).n_available()),
-        ))
+        site: cache.spec(site, "SB-CLASSIFIER", seed,
+                         sb_config=SBConfig(early_stopping=True))
         for site in sites
     }
     outcomes = cache.run_all([
@@ -79,9 +77,8 @@ def compute_table2(
     ])
 
     for site in sites:
-        env = cache.env(site)
-        total = env.total_targets()
-        avail = env.n_available()
+        facts = cache.facts(site)
+        total, avail = facts.total_targets, facts.n_available
         for crawler in CRAWLER_ORDER:
             value = average_metric(
                 [outcomes[s] for s in specs[site, crawler]],

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.metrics import non_target_volume_fraction, site_non_target_bytes
+from repro.analysis.metrics import non_target_volume_fraction
 import repro.experiments.paperdata as paperdata
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_table
@@ -56,14 +56,13 @@ def compute_table3(
     outcomes = cache.run_all(s for group in specs.values() for s in group)
 
     for site in sites:
-        env = cache.env(site)
-        total_target_bytes = env.total_target_bytes()
-        total_non_target = site_non_target_bytes(env.graph)
+        facts = cache.facts(site)
         for crawler in CRAWLER_ORDER:
             value = average_metric(
                 [outcomes[s] for s in specs[site, crawler]],
                 lambda o: non_target_volume_fraction(
-                    o.trace, total_target_bytes, total_non_target
+                    o.trace, facts.total_target_bytes,
+                    facts.site_non_target_bytes,
                 ),
             )
             measured[crawler].append(value)

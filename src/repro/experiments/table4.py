@@ -13,14 +13,13 @@ from dataclasses import dataclass
 from repro.analysis.metrics import (
     non_target_volume_fraction,
     requests_to_fraction,
-    site_non_target_bytes,
 )
 from repro.analysis.trace import CrawlTrace
+from repro.campaign import SiteFacts
 from repro.core.crawler import SBConfig
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.report import render_pairs_table
 from repro.experiments.runner import ResultCache, default_cache
-from repro.http.environment import CrawlEnvironment
 from repro.webgraph.sites import FULLY_CRAWLED_SITES
 
 #: The studied values (paper Sec. 4.6).
@@ -48,10 +47,10 @@ class Table4Result:
         )
 
 
-def _pair(env: CrawlEnvironment, trace: CrawlTrace) -> tuple[float, float]:
-    req = requests_to_fraction(trace, env.total_targets(), env.n_available())
+def _pair(facts: SiteFacts, trace: CrawlTrace) -> tuple[float, float]:
+    req = requests_to_fraction(trace, facts.total_targets, facts.n_available)
     vol = non_target_volume_fraction(
-        trace, env.total_target_bytes(), site_non_target_bytes(env.graph)
+        trace, facts.total_target_bytes, facts.site_non_target_bytes
     )
     return req, vol
 
@@ -81,7 +80,7 @@ def compute_table4(
 
     rows = {
         label: [
-            _pair(cache.env(site), outcomes[specs[label, site]].trace)
+            _pair(cache.facts(site), outcomes[specs[label, site]].trace)
             for site in site_list
         ]
         for label in configs

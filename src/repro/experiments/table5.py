@@ -96,11 +96,11 @@ def compute_table5(
         per_site: list[float] = []
         merged = ConfusionMatrix()
         for site in site_list:
-            env = cache.env(site)
+            facts = cache.facts(site)
             outcome = outcomes[specs[variant, site]]
             per_site.append(
                 requests_to_fraction(
-                    outcome.trace, env.total_targets(), env.n_available()
+                    outcome.trace, facts.total_targets, facts.n_available
                 )
             )
             merged = merged.merged(outcome.confusion)

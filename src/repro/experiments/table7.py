@@ -62,7 +62,7 @@ def compute_table7(
     yields_pct: list[float] = []
     mean_sds: list[float] = []
     for site in sites:
-        env = cache.env(site)
+        mime_by_target = cache.facts(site).mime_by_target
         retrieved = sorted(outcomes[specs[site]].targets)
         rng = random.Random(42)
         sample = (
@@ -75,9 +75,8 @@ def compute_table7(
         generator = TargetContentGenerator(site, seed=0)
         counts: list[int] = []
         for url in sample:
-            page = env.graph.get(url)
-            mime = page.mime_type if page is not None else "application/pdf"
-            generated = generator.generate(url, mime or "application/pdf")
+            mime = mime_by_target.get(url) or "application/pdf"
+            generated = generator.generate(url, mime)
             counts.append(count_statistic_tables(generated.body, generated.mime_type))
         with_tables = [c for c in counts if c > 0]
         yields_pct.append(100.0 * len(with_tables) / len(counts) if counts else 0.0)

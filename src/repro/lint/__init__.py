@@ -29,8 +29,7 @@ from repro.lint.engine import (Finding, LintRun, LintUsageError, Linter,
                                Rule, scan_noqa)
 from repro.lint.project import (ProjectModel, ProjectRule, build_project,
                                 default_project_rules)
-from repro.lint.reporters import (render_json, render_sarif, render_stats,
-                                  render_text)
+from repro.lint.reporters import render_json, render_stats, render_text
 from repro.lint.rules import default_rules
 from repro.lint.symbols import ModuleSymbols, extract_symbols
 
@@ -52,7 +51,6 @@ __all__ = [
     "extract_symbols",
     "load_pyproject_config",
     "render_json",
-    "render_sarif",
     "render_stats",
     "render_text",
     "scan_noqa",

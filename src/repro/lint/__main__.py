@@ -24,8 +24,7 @@ from pathlib import Path
 from repro.lint.config import load_pyproject_config
 from repro.lint.engine import LintUsageError, Linter
 from repro.lint.project import default_project_rules
-from repro.lint.reporters import (render_json, render_sarif, render_stats,
-                                  render_text)
+from repro.lint.reporters import render_json, render_stats, render_text
 from repro.lint.rules import default_rules
 
 EXIT_CLEAN = 0
@@ -51,9 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human",
-        help="report format (json is stable for CI annotation; sarif is "
-             "SARIF 2.1.0 for code-scanning upload)",
+        "--format", choices=("human", "json"), default="human",
+        help="report format (json is stable for CI annotation)",
     )
     parser.add_argument(
         "--disable", default="",
@@ -190,8 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    renderers = {"json": render_json, "sarif": render_sarif,
-                 "human": render_text}
+    renderers = {"json": render_json, "human": render_text}
     print(renderers[args.format](run.findings, cache=run.cache))
     if args.stats:
         print(render_stats(run), file=sys.stderr)

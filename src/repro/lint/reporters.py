@@ -78,71 +78,6 @@ def render_json(
     return json.dumps(document, indent=2, sort_keys=True)
 
 
-def render_sarif(
-    findings: Iterable[Finding], cache: "CacheStats | None" = None
-) -> str:
-    """SARIF 2.1.0 document for GitHub code-scanning annotations.
-
-    One run, one driver (``repro.lint``), the full default rule
-    catalogue under ``tool.driver.rules`` and one ``result`` per
-    finding.  Region columns are 1-based per the SARIF spec (findings
-    store 0-based AST offsets).  ``cache`` is accepted for renderer
-    interface parity and ignored — cache statistics are not part of the
-    SARIF data model.
-    """
-    del cache
-    from repro.lint.project import default_project_rules
-    from repro.lint.rules import RULESET_VERSION, default_rules
-
-    catalogue = [*default_rules(), *default_project_rules()]
-    sarif_rules = [
-        {
-            "id": rule.code,
-            "name": rule.name,
-            "shortDescription": {"text": rule.rationale},
-        }
-        for rule in catalogue
-    ]
-    results = [
-        {
-            "ruleId": finding.rule,
-            "level": "warning",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": max(finding.line, 1),
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in sorted(findings)
-    ]
-    document = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.lint",
-                        "version": RULESET_VERSION,
-                        "rules": sarif_rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
 def render_stats(run: "LintRun") -> str:
     """Per-phase timing + cache accounting for ``--stats`` (stderr)."""
     timings = run.timings or {}

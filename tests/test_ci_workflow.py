@@ -115,42 +115,24 @@ def test_lint_job_archives_report_and_summarises_findings():
     assert "lint-report.json" in uploads[0]["with"]["path"]
 
 
-def test_lint_job_renders_and_uploads_sarif():
-    """The same findings go out as SARIF 2.1.0 for code-scanning
-    consumers: rendered even when the lint step failed, never changing
-    the job verdict, and included in the uploaded artifact."""
-    doc = _load()
-    steps = doc["jobs"]["lint"]["steps"]
-    sarif_steps = [s for s in steps
-                   if "--format sarif" in s.get("run", "")]
-    assert len(sarif_steps) == 1
-    step = sarif_steps[0]
-    assert step["if"] == "always()"          # render even after findings
-    assert "|| true" in step["run"]          # but never flip the verdict
-    assert "lint-report.sarif" in step["run"]
-    uploads = [s for s in steps
-               if "upload-artifact" in str(s.get("uses", ""))]
-    assert "lint-report.sarif" in uploads[0]["with"]["path"]
-
-
 def test_campaign_smoke_job_enforces_backend_equivalence():
     """The campaign-smoke job must run `repro campaign --backend both`
     (which exits non-zero unless the serial and multiprocessing reports
     are byte-identical), check cross-invocation byte-stability with cmp,
-    cmp table 2 rendered serially (one CPU) and on the pool, and archive
-    the report."""
+    cmp every table and figure rendered serially (one CPU) and on the
+    pool, and archive the report."""
     doc = _load()
     steps = doc["jobs"]["campaign-smoke"]["steps"]
     commands = "\n".join(s.get("run", "") for s in steps)
     assert "python -m repro campaign" in commands
     assert "--backend both" in commands
     assert "cmp campaign-a.json campaign-b.json" in commands
-    # the tables' serial and pool runs must render the same table 2
-    serial = "taskset -c 0 python -m repro table2 --scale 0.05 --runs 2"
+    # the tables' serial and pool runs must render the same tables
+    serial = "taskset -c 0 python -m repro all --scale 0.05 --runs 2"
     assert serial in commands
-    assert "\npython -m repro table2 --scale 0.05 --runs 2" in commands
+    assert "\npython -m repro all --scale 0.05 --runs 2" in commands
     assert "computed in" in commands
-    assert "cmp table2-serial.txt table2-pool.txt" in commands
+    assert "cmp tables-serial.txt tables-pool.txt" in commands
     uploads = [s for s in steps
                if "upload-artifact" in str(s.get("uses", ""))]
     assert len(uploads) == 1

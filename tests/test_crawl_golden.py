@@ -88,9 +88,9 @@ def _crawl(name, env) -> list[str]:
 
 
 @pytest.fixture(scope="module")
-def clean_envs():
-    # one environment per site, shared by all crawlers like the paper
-    # tables' result cache: parses are cached, crawls stay independent
+def clean_environments():
+    # one environment per site, shared by all crawlers like the crawls
+    # of one table shard: parses are cached, crawls stay independent
     return {site: CrawlEnvironment(graph) for site, graph in _graphs().items()}
 
 
@@ -104,18 +104,18 @@ def _check(grid: str, name: str, site: str, got: list[str]) -> list[str]:
 
 
 @pytest.mark.parametrize("name", CRAWLER_NAMES)
-def test_clean_crawls_match_golden_digests(clean_envs, name):
+def test_clean_crawls_match_golden_digests(clean_environments, name):
     problems = []
     for site in SITES:
-        problems += _check("clean", name, site, _crawl(name, clean_envs[site]))
+        problems += _check("clean", name, site, _crawl(name, clean_environments[site]))
     assert not problems, problems
 
 
 @pytest.mark.parametrize("name", FAULTED)
-def test_faulted_crawls_match_golden_digests(clean_envs, name):
+def test_faulted_crawls_match_golden_digests(clean_environments, name):
     problems = []
     for site in SITES:
-        env = _faulty_env(clean_envs[site].graph)
+        env = _faulty_env(clean_environments[site].graph)
         problems += _check("faults", name, site, _crawl(name, env))
     assert not problems, problems
 

@@ -1,8 +1,13 @@
 """Tests for the experiment harness (small scale)."""
 
+import gc
 import math
+import weakref
 
 import pytest
+
+import repro.experiments.runner as runner_module
+import repro.webgraph.sites as sites_module
 
 from repro.baselines import CRAWLER_NAMES, SEEDLESS_CRAWLERS, make_crawler
 from repro.campaign import (
@@ -13,7 +18,8 @@ from repro.campaign import (
     trace_name,
 )
 from repro.core.crawler import SBConfig
-from repro.experiments.config import ExperimentConfig, scaled_early_stopping
+from repro.core.early_stopping import scaled_early_stopping
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import (
     compute_figure4,
     compute_figure5,
@@ -58,7 +64,7 @@ def test_result_cache_memoises(cache):
     a = cache.run("qa", "BFS")
     b = cache.run("qa", "BFS")
     assert a is b
-    assert cache.env("qa") is cache.env("qa")
+    assert cache.facts("qa") is cache.facts("qa")
 
 
 def test_seed_specs_collapse_seedless_crawlers(cache):
@@ -147,6 +153,45 @@ def test_trace_files_are_named_by_the_crawl_they_hold(tmp_path):
         meta, events = read_events(path)
         assert sum(e.kind == "fetch" for e in events) == runs[key].n_requests
         assert meta.get("config") == ({"theta": 0.5} if key == "theta" else None)
+
+
+def _count_graphs(monkeypatch):
+    """Wrap this process's ``load_paper_site``: the sites it generates,
+    and a weakref to each graph it returns."""
+    load = sites_module.load_paper_site
+    sites, graphs = [], []
+
+    def counting_load(site, scale=1.0):
+        graph = load(site, scale)
+        sites.append(site)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(sites_module, "load_paper_site", counting_load)
+    monkeypatch.setattr(runner_module, "load_paper_site", counting_load)
+    return sites, graphs
+
+
+def test_pool_table_run_generates_no_graph_in_the_parent(monkeypatch):
+    """On a pool the workers generate every graph: the early-stopping
+    specs and the table's ground truth need none in the parent."""
+    sites, _ = _count_graphs(monkeypatch)
+    compute_table2(
+        CONFIG, ResultCache(scale=SCALE, backend=MultiprocessingBackend(2))
+    )
+    assert sites == []
+
+
+def test_serial_table_run_keeps_no_graph(monkeypatch):
+    """In-process, each site is generated once and dropped after its
+    crawls; the cache keeps only the site's facts."""
+    sites, graphs = _count_graphs(monkeypatch)
+    cache = ResultCache(scale=SCALE)
+    compute_table2(CONFIG, cache)
+    gc.collect()
+    assert sorted(sites) == sorted(SITES)
+    assert all(graph() is None for graph in graphs)
+    assert cache.facts("qa").scale == SCALE
 
 
 def test_default_cache_shared():

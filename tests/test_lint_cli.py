@@ -276,25 +276,6 @@ def test_json_findings_are_sorted_and_round_trip(tmp_path, capsys):
         assert Finding(**fields).to_dict() == fields
 
 
-def test_sarif_format_is_valid_sarif_210(dirty_file, capsys):
-    assert main(["--no-config", "--format", "sarif", str(dirty_file)]) == \
-        EXIT_FINDINGS
-    document = json.loads(capsys.readouterr().out)
-    assert document["version"] == "2.1.0"
-    assert "sarif-2.1.0" in document["$schema"]
-    (run,) = document["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro.lint"
-    rule_ids = {rule["id"] for rule in driver["rules"]}
-    assert {"DET001", "COR001", "FLOW001", "DF001"} <= rule_ids
-    assert run["results"], "findings must surface as SARIF results"
-    first = run["results"][0]
-    assert first["ruleId"] in rule_ids
-    location = first["locations"][0]["physicalLocation"]
-    assert location["region"]["startLine"] >= 1
-    assert location["region"]["startColumn"] >= 1  # SARIF is 1-based
-
-
 def test_directory_walk_respects_exclude(tmp_path, capsys):
     package = tmp_path / "pkg"
     package.mkdir()
